@@ -498,9 +498,10 @@ func BenchmarkNumericTrainingStep(b *testing.B) {
 	mach := phideep.NewMachine(phideep.XeonPhi5110P(), phideep.WithNumeric())
 	b.Cleanup(mach.Close)
 	ctx := phideep.NewContext(mach.Dev, phideep.Improved, 0, 1)
-	m, err := phideep.NewAutoencoder(ctx, phideep.AutoencoderConfig{
+	m, err := phideep.BuildAutoencoder(ctx, phideep.AutoencoderConfig{
 		Visible: 64, Hidden: 25, Lambda: 1e-4, Beta: 3, Rho: 0.05,
-	}, 32, 2)
+		Batch: 32, Seed: 2,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}

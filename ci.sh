@@ -21,19 +21,22 @@ if [ -n "$undocumented" ]; then
     exit 1
 fi
 
-# vet covers the deprecated facade wrappers (NewMachineAt, NewAutoencoder,
-# ...) too: they must stay warning-free until their removal.
 go vet ./...
 go build ./...
 go test ./...
+# Test order must not matter: shuffle every package's tests so one test's
+# leftover global state (the metrics registry, process-wide toggles) can
+# never be what another test's pass depends on.
+go test -shuffle=on ./...
 # The pure-Go micro-kernel fallbacks (f64 and f32) must stay correct on
 # their own: re-run the kernel suite — and the convnet built on the
 # lowered GEMM — with the assembly path compiled out. The tuner rides
 # along: its workload evaluations and predictor calibration run the full
 # training stack, so they must hold on the fallback kernels too. data and
 # feed join because the feed-backed trainer bit-identity tests must hold
-# on the fallback kernels as well.
-go test -tags noasm ./internal/kernels/... ./internal/convnet/... ./internal/tune/... ./internal/data/... ./internal/feed/...
+# on the fallback kernels as well. serve joins because its f32 forward
+# loop is the only f32 inference path and must hold on the fallback too.
+go test -tags noasm ./internal/kernels/... ./internal/convnet/... ./internal/tune/... ./internal/data/... ./internal/feed/... ./internal/serve/...
 # core and stack carry the fault-injection, checkpoint/resume and chunk
 # prefetch tests, which overlap the loading goroutine with training; the
 # cluster package rides along for its checkpoint-handoff paths; serve is

@@ -177,7 +177,7 @@ func (s nullSource) Dim() int                                { return s.d }
 func (s nullSource) Len() int                                { return s.n }
 func (s nullSource) Chunk(start, n int, dst *phideep.Matrix) {}
 
-// Label satisfies LabeledSource so timing-only convnet runs work; the
+// Label satisfies Labeled so timing-only convnet runs work; the
 // trainer never reads labels on a timing-only device.
 func (s nullSource) Label(idx int) int { return 0 }
 
@@ -306,19 +306,21 @@ func run(modelKind, dataKind string, side, visible, hidden int, sizesFlag string
 	case "ae", "rbm":
 		var model phideep.Trainable
 		if modelKind == "ae" {
-			m, err := phideep.NewAutoencoder(ctx, phideep.AutoencoderConfig{
+			m, err := phideep.BuildAutoencoder(ctx, phideep.AutoencoderConfig{
 				Visible: visible, Hidden: hidden, Lambda: lambda, Beta: beta, Rho: rho,
 				Momentum: opts.momentum, Corruption: opts.corruption, Tied: opts.tied,
-			}, batch, seed)
+				Batch: batch, Seed: seed,
+			})
 			if err != nil {
 				return err
 			}
 			model = m
 		} else {
-			m, err := phideep.NewRBM(ctx, phideep.RBMConfig{
+			m, err := phideep.BuildRBM(ctx, phideep.RBMConfig{
 				Visible: visible, Hidden: hidden, SampleHidden: true,
 				GaussianVisible: opts.gaussian, Momentum: opts.momentum,
-			}, batch, seed)
+				Batch: batch, Seed: seed,
+			})
 			if err != nil {
 				return err
 			}
@@ -362,7 +364,7 @@ func run(modelKind, dataKind string, side, visible, hidden int, sizesFlag string
 			// would desynchronize from their images.
 			return fmt.Errorf("-shuffle is not supported with -model convnet")
 		}
-		lsrc, ok := src.(phideep.LabeledSource)
+		lsrc, ok := src.(phideep.Labeled)
 		if !ok {
 			return fmt.Errorf("convnet needs labeled data: -data digits (or null for timing-only), not %q", dataKind)
 		}

@@ -28,8 +28,7 @@ type Config struct {
 	Beta    float64
 	Rho     float64
 	// Batch is the minibatch size the device-resident model is built for.
-	// Build requires it; the deprecated four-argument constructors fill it
-	// from their positional batch argument.
+	// Build requires it.
 	Batch int
 	// Seed initializes the parameters (and, via the context, the sampling
 	// streams). Zero is a valid seed.
@@ -98,22 +97,6 @@ type Model struct {
 	// Denoising workspace (Corruption > 0 only): corrupted input and the
 	// keep-mask probabilities.
 	xc, mask, keepP *device.Buffer
-
-	// inferOnly marks a forward-only model built by NewInference: no
-	// gradient, velocity or corruption buffers exist, and the training
-	// entry points panic.
-	inferOnly bool
-}
-
-// New allocates a model for the given batch size on ctx's device and
-// initializes its weights from the reference initializer with the given
-// seed (uploaded over PCIe once).
-//
-// Deprecated: use Build with Config.Batch and Config.Seed set.
-func New(ctx *blas.Context, cfg Config, batch int, seed uint64) (*Model, error) {
-	cfg.Batch = batch
-	cfg.Seed = seed
-	return Build(ctx, cfg)
 }
 
 // Build allocates a model for cfg.Batch examples on ctx's device and
@@ -174,48 +157,6 @@ func Build(ctx *blas.Context, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// NewInference allocates a forward-only model for up to batch examples:
-// parameters and the two activation buffers, no gradient, velocity or
-// corruption workspace (roughly a third of the training model's device
-// memory). p, when non-nil, provides the weights; nil initializes from
-// cfg.Seed. Only Encode, Reconstruct, Forward, Upload and Download work on
-// an inference model — the training entry points panic.
-func NewInference(ctx *blas.Context, cfg Config, batch int, p *Params) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if batch <= 0 {
-		return nil, fmt.Errorf("autoencoder: non-positive batch size %d", batch)
-	}
-	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: true}
-	dev := ctx.Dev
-	var err error
-	alloc := func(r, c int) *device.Buffer {
-		if err != nil {
-			return nil
-		}
-		var b *device.Buffer
-		b, err = dev.Alloc(r, c)
-		return b
-	}
-	v, h := cfg.Visible, cfg.Hidden
-	m.W1, m.B1 = alloc(v, h), alloc(1, h)
-	m.B2 = alloc(1, v)
-	if !cfg.Tied {
-		m.W2 = alloc(h, v)
-	}
-	m.y, m.z = alloc(batch, h), alloc(batch, v)
-	if err != nil {
-		m.Free() // release the buffers allocated before the failure
-		return nil, err
-	}
-	if p == nil {
-		p = NewParams(cfg, cfg.Seed)
-	}
-	m.Upload(p)
-	return m, nil
-}
-
 // Free releases every device buffer of the model.
 func (m *Model) Free() {
 	dev := m.Ctx.Dev
@@ -273,68 +214,6 @@ func hostOrNil(dev *device.Device, m *tensor.Matrix) *tensor.Matrix {
 // x must be Batch×Visible.
 func (m *Model) Forward(x *device.Buffer) { m.forwardFrom(x) }
 
-// checkInfer validates an inference input of 1..Batch rows.
-func (m *Model) checkInfer(x *device.Buffer) int {
-	if x.Rows < 1 || x.Rows > m.Batch || x.Cols != m.Cfg.Visible {
-		panic(fmt.Sprintf("autoencoder: inference input %dx%d, want 1..%d rows of width %d",
-			x.Rows, x.Cols, m.Batch, m.Cfg.Visible))
-	}
-	return x.Rows
-}
-
-// sliceTo returns the first n rows of a Batch-row workspace buffer (the
-// buffer itself when n = Batch).
-func sliceTo(b *device.Buffer, n int) *device.Buffer {
-	if n == b.Rows {
-		return b
-	}
-	return b.Slice(0, n)
-}
-
-// Encode runs the batched encoder y = σ(x·W1 + b1) for 1 ≤ x.Rows ≤ Batch
-// examples and returns the hidden codes as a view of the model's activation
-// buffer (valid until the next forward pass). It allocates nothing on the
-// device, touches no gradient state, and matches Params.Encode row for row
-// — the device-resident inference path the serving layer batches over.
-func (m *Model) Encode(x *device.Buffer) *device.Buffer {
-	n := m.checkInfer(x)
-	ctx := m.Ctx
-	y := sliceTo(m.y, n)
-	ctx.MaybeFused(func() {
-		ctx.Gemm(false, false, 1, x, m.W1, 0, y)
-		ctx.AddBiasRow(y, m.B1)
-		ctx.Sigmoid(y, y)
-	})
-	return y
-}
-
-// Reconstruct runs the full batched forward pass for 1 ≤ x.Rows ≤ Batch
-// examples and returns the reconstructions z = σ(y·W2 + b2) as a view of
-// the model's output buffer (valid until the next forward pass).
-func (m *Model) Reconstruct(x *device.Buffer) *device.Buffer {
-	n := m.checkInfer(x)
-	y := m.Encode(x)
-	ctx := m.Ctx
-	z := sliceTo(m.z, n)
-	ctx.MaybeFused(func() {
-		if m.Cfg.Tied {
-			ctx.Gemm(false, true, 1, y, m.W1, 0, z)
-		} else {
-			ctx.Gemm(false, false, 1, y, m.W2, 0, z)
-		}
-		ctx.AddBiasRow(z, m.B2)
-		ctx.Sigmoid(z, z)
-	})
-	return z
-}
-
-// mustTrain panics when the model was built by NewInference.
-func (m *Model) mustTrain(op string) {
-	if m.inferOnly {
-		panic("autoencoder: " + op + " on an inference-only model (built by NewInference)")
-	}
-}
-
 func (m *Model) forwardFrom(x *device.Buffer) {
 	m.checkInput(x)
 	ctx := m.Ctx
@@ -364,7 +243,6 @@ func (m *Model) Backward(x *device.Buffer) { m.backwardFrom(x, x) }
 // backwardFrom back-propagates with separate encoder input and
 // reconstruction target — they differ only for the denoising variant.
 func (m *Model) backwardFrom(input, target *device.Buffer) {
-	m.mustTrain("Backward")
 	m.checkInput(input)
 	m.checkInput(target)
 	ctx := m.Ctx
@@ -455,7 +333,6 @@ func (m *Model) sparsityCoeff() tensor.Vector {
 // into one parallel region at the Improved level): plain SGD θ ← θ − lr·∇θ,
 // or classical momentum when Cfg.Momentum > 0.
 func (m *Model) ApplyUpdate(lr float64) {
-	m.mustTrain("ApplyUpdate")
 	ctx := m.Ctx
 	if m.Cfg.Momentum == 0 {
 		ctx.MaybeFused(func() {
@@ -490,7 +367,6 @@ func (m *Model) ApplyUpdate(lr float64) {
 // copy of x while the reconstruction target stays clean (a denoising
 // autoencoder).
 func (m *Model) Step(x *device.Buffer, lr float64) float64 {
-	m.mustTrain("Step")
 	input := x
 	if m.Cfg.Corruption > 0 {
 		ctx := m.Ctx
@@ -511,7 +387,6 @@ func (m *Model) Step(x *device.Buffer, lr float64) float64 {
 // L2 + sparsity terms. Forward state is overwritten. Returns 0 on
 // model-only devices.
 func (m *Model) Cost(x *device.Buffer) float64 {
-	m.mustTrain("Cost")
 	m.Forward(x)
 	ctx := m.Ctx
 	recon := ctx.SumSquaredDiff(m.z, x) / (2 * float64(m.Batch))

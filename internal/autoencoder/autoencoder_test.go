@@ -13,6 +13,12 @@ import (
 	"phideep/internal/tensor"
 )
 
+// buildModel is Build with the batch size and seed given explicitly.
+func buildModel(ctx *blas.Context, cfg Config, batch int, seed uint64) (*Model, error) {
+	cfg.Batch, cfg.Seed = batch, seed
+	return Build(ctx, cfg)
+}
+
 func testConfig() Config {
 	return Config{Visible: 8, Hidden: 5, Lambda: 1e-3, Beta: 0.3, Rho: 0.2}
 }
@@ -85,7 +91,7 @@ func TestDeviceMatchesReference(t *testing.T) {
 			ctx := blas.NewContext(dev, lvl, 1)
 			ctx.AutoFuse = fuse
 			ctx.AutoConcurrent = fuse
-			m, err := New(ctx, cfg, batch, 5)
+			m, err := buildModel(ctx, cfg, batch, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +139,7 @@ func TestStepReducesReconstruction(t *testing.T) {
 	cfg := Config{Visible: 16, Hidden: 8, Lambda: 1e-5}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 2)
-	m, err := New(ctx, cfg, 20, 11)
+	m, err := buildModel(ctx, cfg, 20, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +160,7 @@ func TestSparsityPenaltyDrivesActivationsTowardRho(t *testing.T) {
 	cfg := Config{Visible: 12, Hidden: 6, Beta: 3, Rho: 0.05}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 3)
-	m, err := New(ctx, cfg, 16, 13)
+	m, err := buildModel(ctx, cfg, 16, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +183,7 @@ func TestUploadDownloadRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 4)
-	m, err := New(ctx, cfg, 3, 17)
+	m, err := buildModel(ctx, cfg, 3, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +211,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	if _, err := New(ctx, Config{Visible: 2, Hidden: 2}, 0, 1); err == nil {
+	if _, err := buildModel(ctx, Config{Visible: 2, Hidden: 2}, 0, 1); err == nil {
 		t.Error("zero batch should fail")
 	}
-	if _, err := New(ctx, Config{Visible: -2, Hidden: 2}, 4, 1); err == nil {
+	if _, err := buildModel(ctx, Config{Visible: -2, Hidden: 2}, 4, 1); err == nil {
 		t.Error("invalid config should fail")
 	}
 }
@@ -218,7 +224,7 @@ func TestOutOfMemoryIsReported(t *testing.T) {
 	arch.GlobalMemBytes = 1024 // absurdly small device
 	dev := device.New(arch, false, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	if _, err := New(ctx, Config{Visible: 64, Hidden: 64}, 8, 1); err == nil {
+	if _, err := buildModel(ctx, Config{Visible: 64, Hidden: 64}, 8, 1); err == nil {
 		t.Fatal("expected out-of-memory error")
 	}
 }
@@ -226,7 +232,7 @@ func TestOutOfMemoryIsReported(t *testing.T) {
 func TestModelOnlyTrainingChargesTime(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), false, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 21)
-	m, err := New(ctx, Config{Visible: 1024, Hidden: 4096, Beta: 0.1, Rho: 0.05}, 1000, 1)
+	m, err := buildModel(ctx, Config{Visible: 1024, Hidden: 4096, Beta: 0.1, Rho: 0.05}, 1000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +252,7 @@ func TestModelOnlyTrainingChargesTime(t *testing.T) {
 func TestFreeReleasesAllBuffers(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, testConfig(), 4, 1)
+	m, err := buildModel(ctx, testConfig(), 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +265,7 @@ func TestFreeReleasesAllBuffers(t *testing.T) {
 func TestBatchMismatchPanics(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, _ := New(ctx, testConfig(), 4, 1)
+	m, _ := buildModel(ctx, testConfig(), 4, 1)
 	dx := dev.MustAlloc(3, testConfig().Visible)
 	defer func() {
 		if recover() == nil {
@@ -272,7 +278,7 @@ func TestBatchMismatchPanics(t *testing.T) {
 func TestTrainableInterface(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, _ := New(ctx, testConfig(), 4, 1)
+	m, _ := buildModel(ctx, testConfig(), 4, 1)
 	if m.BatchSize() != 4 || m.InputDim() != testConfig().Visible {
 		t.Fatal("Trainable accessors wrong")
 	}

@@ -28,7 +28,7 @@ func TestBatchObjectiveMatchesReference(t *testing.T) {
 		dev := device.New(sim.XeonPhi5110P(), true, nil)
 		ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
 		ctx.AutoFuse = true
-		m, err := New(ctx, cfg, batch, 9)
+		m, err := buildModel(ctx, cfg, batch, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestBatchObjectiveSingleChunkSparsityExact(t *testing.T) {
 
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, cfg, 9, 7)
+	m, err := buildModel(ctx, cfg, 9, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestBatchObjectiveSingleChunkSparsityExact(t *testing.T) {
 func TestBatchObjectiveChargesSimulatedTime(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), false, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, Config{Visible: 64, Hidden: 32}, 50, 1)
+	m, err := buildModel(ctx, Config{Visible: 64, Hidden: 32}, 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBatchObjectiveChargesSimulatedTime(t *testing.T) {
 func TestBatchObjectiveValidation(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), false, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, Config{Visible: 8, Hidden: 4}, 5, 1)
+	m, err := buildModel(ctx, Config{Visible: 8, Hidden: 4}, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestBatchObjectiveValidation(t *testing.T) {
 func TestBatchObjectiveBuffersFreed(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), false, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, Config{Visible: 8, Hidden: 4, Tied: true}, 5, 1)
+	m, err := buildModel(ctx, Config{Visible: 8, Hidden: 4, Tied: true}, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestMomentumMatchesManualUpdate(t *testing.T) {
 	cfg := Config{Visible: 6, Hidden: 4, Momentum: 0.9}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, cfg, 5, 3)
+	m, err := buildModel(ctx, cfg, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestMomentumAcceleratesConvergence(t *testing.T) {
 		cfg := Config{Visible: 16, Hidden: 8, Lambda: 1e-5, Momentum: momentum}
 		dev := device.New(sim.XeonPhi5110P(), true, nil)
 		ctx := blas.NewContext(dev, kernels.ParallelBlocked, 2)
-		m, err := New(ctx, cfg, 20, 11)
+		m, err := buildModel(ctx, cfg, 20, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestDenoisingCorruptionMasksInput(t *testing.T) {
 	cfg := Config{Visible: 30, Hidden: 10, Corruption: 0.5}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 7)
-	m, err := New(ctx, cfg, 40, 5)
+	m, err := buildModel(ctx, cfg, 40, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDenoisingTrainsToReconstructCleanInput(t *testing.T) {
 	cfg := Config{Visible: 16, Hidden: 12, Corruption: 0.3, Lambda: 1e-6}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 9)
-	m, err := New(ctx, cfg, 24, 6)
+	m, err := buildModel(ctx, cfg, 24, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestExtendedConfigValidation(t *testing.T) {
 func TestExtendedBuffersFreed(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, Config{Visible: 8, Hidden: 4, Momentum: 0.5, Corruption: 0.2}, 4, 1)
+	m, err := buildModel(ctx, Config{Visible: 8, Hidden: 4, Momentum: 0.5, Corruption: 0.2}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

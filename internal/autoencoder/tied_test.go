@@ -64,7 +64,7 @@ func TestTiedDeviceMatchesReference(t *testing.T) {
 			ctx := blas.NewContext(dev, lvl, 1)
 			ctx.AutoFuse = improved
 			ctx.AutoConcurrent = improved
-			m, err := New(ctx, cfg, batch, 5)
+			m, err := buildModel(ctx, cfg, batch, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,14 +93,14 @@ func TestTiedTrainingAndMemoryFootprint(t *testing.T) {
 	cfg := Config{Visible: 16, Hidden: 8, Lambda: 1e-6, Tied: true}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 2)
-	m, err := New(ctx, cfg, 20, 11)
+	m, err := buildModel(ctx, cfg, 20, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Tied model must allocate noticeably less than the untied one.
 	tiedBytes := dev.Allocated()
 	dev2 := device.New(sim.XeonPhi5110P(), true, nil)
-	untied, err := New(blas.NewContext(dev2, kernels.ParallelBlocked, 2), Config{Visible: 16, Hidden: 8, Lambda: 1e-6}, 20, 11)
+	untied, err := buildModel(blas.NewContext(dev2, kernels.ParallelBlocked, 2), Config{Visible: 16, Hidden: 8, Lambda: 1e-6}, 20, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestTiedWithMomentumAndCorruption(t *testing.T) {
 	cfg := Config{Visible: 12, Hidden: 6, Tied: true, Momentum: 0.8, Corruption: 0.2}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 3)
-	m, err := New(ctx, cfg, 16, 7)
+	m, err := buildModel(ctx, cfg, 16, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

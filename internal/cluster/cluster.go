@@ -226,7 +226,9 @@ func New(arch *sim.Arch, lvl core.OptLevel, cfg Config, numeric bool, seed uint6
 	for i := 0; i < cfg.Nodes; i++ {
 		dev := device.New(arch, numeric, nil)
 		ctx := core.NewContext(dev, lvl, 0, seed+uint64(i))
-		m, err := autoencoder.New(ctx, cfg.Model, c.perNode, seed) // same seed: identical init
+		mc := cfg.Model
+		mc.Batch, mc.Seed = c.perNode, seed // same seed: identical init
+		m, err := autoencoder.Build(ctx, mc)
 		if err != nil {
 			c.Free()
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)

@@ -7,8 +7,8 @@
 // parallelization splits the batch's images across workers and filter
 // blocks within them (DESIGN.md §12). Training runs supervised on the
 // synthetic digits through core.Trainer.RunLabeled with full PHCK
-// checkpoint/resume; forward-only float64 and float32 replicas plug into
-// internal/serve.
+// checkpoint/resume; internal/serve compiles the same layers into its
+// forward program for inference.
 package convnet
 
 import (
@@ -135,51 +135,24 @@ type Model struct {
 	// Backward workspace (training models only). a1/a2 are destroyed by
 	// Backward (their sigmoid derivative overwrites them).
 	d3, dpl2, da2, dcols2, dpl1, da1 *device.Buffer
-
-	// inferOnly marks a forward-only model built by NewInference.
-	inferOnly bool
 }
 
 // Build allocates a training model for cfg.Batch examples with the random
 // initialization drawn from cfg.Seed.
 func Build(ctx *blas.Context, cfg Config) (*Model, error) {
-	m, err := build(ctx, cfg, cfg.Batch, false)
-	if err != nil {
-		return nil, err
-	}
-	m.Upload(NewParams(cfg, cfg.Seed))
-	return m, nil
-}
-
-// NewInference allocates a forward-only model for up to batch examples:
-// weights, biases and forward workspace only. p, when non-nil, provides
-// the weights; nil initializes from cfg.Seed. Only Infer, Forward, Upload
-// and Download work on an inference model — the training entry points
-// panic.
-func NewInference(ctx *blas.Context, cfg Config, batch int, p *Params) (*Model, error) {
-	m, err := build(ctx, cfg, batch, true)
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		p = NewParams(cfg, cfg.Seed)
-	}
-	m.Upload(p)
-	return m, nil
-}
-
-func build(ctx *blas.Context, cfg Config, batch int, inferOnly bool) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	batch := cfg.Batch
 	if batch <= 0 {
 		return nil, fmt.Errorf("convnet: non-positive batch %d", batch)
 	}
 	m := &Model{
-		Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: inferOnly,
+		Cfg: cfg, Ctx: ctx, Batch: batch,
 		c1: cfg.Conv1Shape(), c2: cfg.Conv2Shape(),
 		p1: cfg.Pool1Shape(), p2: cfg.Pool2Shape(),
 	}
+
 	dev := ctx.Dev
 	var err error
 	alloc := func(r, c int) *device.Buffer {
@@ -214,26 +187,25 @@ func build(ctx *blas.Context, cfg Config, batch int, inferOnly bool) (*Model, er
 	m.arg2 = alloc(batch, m.p2.OutDim())
 	m.out = alloc(batch, cfg.Classes)
 
-	if !inferOnly {
-		m.GW, m.GB = make([]*device.Buffer, 3), make([]*device.Buffer, 3)
-		m.vW, m.vB = make([]*device.Buffer, 3), make([]*device.Buffer, 3)
-		for l, s := range wShapes {
-			m.GW[l], m.GB[l] = alloc(s[0], s[1]), alloc(1, s[1])
-			if cfg.Momentum > 0 {
-				m.vW[l], m.vB[l] = alloc(s[0], s[1]), alloc(1, s[1])
-			}
+	m.GW, m.GB = make([]*device.Buffer, 3), make([]*device.Buffer, 3)
+	m.vW, m.vB = make([]*device.Buffer, 3), make([]*device.Buffer, 3)
+	for l, s := range wShapes {
+		m.GW[l], m.GB[l] = alloc(s[0], s[1]), alloc(1, s[1])
+		if cfg.Momentum > 0 {
+			m.vW[l], m.vB[l] = alloc(s[0], s[1]), alloc(1, s[1])
 		}
-		m.d3 = alloc(batch, cfg.Classes)
-		m.dpl2 = alloc(batch, fcIn)
-		m.da2 = alloc(batch*o2HW, m.c2.F)
-		m.dcols2 = alloc(batch*o2HW, m.c2.ColK())
-		m.dpl1 = alloc(batch, m.p1.OutDim())
-		m.da1 = alloc(batch*o1HW, m.c1.F)
 	}
+	m.d3 = alloc(batch, cfg.Classes)
+	m.dpl2 = alloc(batch, fcIn)
+	m.da2 = alloc(batch*o2HW, m.c2.F)
+	m.dcols2 = alloc(batch*o2HW, m.c2.ColK())
+	m.dpl1 = alloc(batch, m.p1.OutDim())
+	m.da1 = alloc(batch*o1HW, m.c1.F)
 	if err != nil {
 		m.Free()
 		return nil, err
 	}
+	m.Upload(NewParams(cfg, cfg.Seed))
 	return m, nil
 }
 
@@ -288,54 +260,30 @@ func (m *Model) Download() *Params {
 	return p
 }
 
-// forward runs the pipeline on the first n examples of the workspace.
-func (m *Model) forward(x *device.Buffer, n int) *device.Buffer {
-	ctx := m.Ctx
-	o1HW := m.c1.OutH() * m.c1.OutW()
-	o2HW := m.c2.OutH() * m.c2.OutW()
-	cols1, a1 := sliceTo(m.cols1, n*o1HW), sliceTo(m.a1, n*o1HW)
-	pl1, arg1 := sliceTo(m.pl1, n), sliceTo(m.arg1, n)
-	cols2, a2 := sliceTo(m.cols2, n*o2HW), sliceTo(m.a2, n*o2HW)
-	pl2, arg2 := sliceTo(m.pl2, n), sliceTo(m.arg2, n)
-	out := sliceTo(m.out, n)
-
-	ctx.Im2col(m.c1, n, x, cols1)
-	ctx.MaybeFused(func() {
-		ctx.Gemm(false, false, 1, cols1, m.W[0], 0, a1)
-		ctx.AddBiasRow(a1, m.B[0])
-		ctx.Sigmoid(a1, a1)
-	})
-	ctx.MaxPool(m.p1, n, a1, pl1, arg1)
-	ctx.Im2col(m.c2, n, pl1, cols2)
-	ctx.MaybeFused(func() {
-		ctx.Gemm(false, false, 1, cols2, m.W[1], 0, a2)
-		ctx.AddBiasRow(a2, m.B[1])
-		ctx.Sigmoid(a2, a2)
-	})
-	ctx.MaxPool(m.p2, n, a2, pl2, arg2)
-	ctx.MaybeFused(func() {
-		ctx.Gemm(false, false, 1, pl2, m.W[2], 0, out)
-		ctx.AddBiasRow(out, m.B[2])
-		ctx.SoftmaxRows(out, out)
-	})
-	return out
-}
-
 // Forward runs the batched forward pass; Probs() holds the softmax output
 // afterwards.
 func (m *Model) Forward(x *device.Buffer) {
 	m.checkInput(x)
-	m.forward(x, m.Batch)
-}
-
-// Infer runs the forward pass for 1..Batch examples (one image per row of
-// x) and returns a view of the softmax probabilities, x.Rows×Classes. The
-// returned buffer is owned by the model and overwritten by the next call.
-func (m *Model) Infer(x *device.Buffer) *device.Buffer {
-	if x.Rows < 1 || x.Rows > m.Batch || x.Cols != m.Cfg.InputDim() {
-		panic(fmt.Sprintf("convnet: inference input %dx%d, want 1..%d×%d", x.Rows, x.Cols, m.Batch, m.Cfg.InputDim()))
-	}
-	return m.forward(x, x.Rows)
+	ctx := m.Ctx
+	ctx.Im2col(m.c1, m.Batch, x, m.cols1)
+	ctx.MaybeFused(func() {
+		ctx.Gemm(false, false, 1, m.cols1, m.W[0], 0, m.a1)
+		ctx.AddBiasRow(m.a1, m.B[0])
+		ctx.Sigmoid(m.a1, m.a1)
+	})
+	ctx.MaxPool(m.p1, m.Batch, m.a1, m.pl1, m.arg1)
+	ctx.Im2col(m.c2, m.Batch, m.pl1, m.cols2)
+	ctx.MaybeFused(func() {
+		ctx.Gemm(false, false, 1, m.cols2, m.W[1], 0, m.a2)
+		ctx.AddBiasRow(m.a2, m.B[1])
+		ctx.Sigmoid(m.a2, m.a2)
+	})
+	ctx.MaxPool(m.p2, m.Batch, m.a2, m.pl2, m.arg2)
+	ctx.MaybeFused(func() {
+		ctx.Gemm(false, false, 1, m.pl2, m.W[2], 0, m.out)
+		ctx.AddBiasRow(m.out, m.B[2])
+		ctx.SoftmaxRows(m.out, m.out)
+	})
 }
 
 // Probs exposes the softmax output buffer of the last Forward.
@@ -346,7 +294,6 @@ func (m *Model) Probs() *device.Buffer { return m.out }
 // run on the same x; the sigmoid activations a1/a2 are consumed (their
 // derivative overwrites them), so Backward cannot run twice per Forward.
 func (m *Model) Backward(x, y *device.Buffer) {
-	m.mustTrain("Backward")
 	m.checkInput(x)
 	if y.Rows != m.Batch || y.Cols != m.Cfg.Classes {
 		panic(fmt.Sprintf("convnet: targets %dx%d, want %dx%d", y.Rows, y.Cols, m.Batch, m.Cfg.Classes))
@@ -404,7 +351,6 @@ func (m *Model) Backward(x, y *device.Buffer) {
 
 // ApplyUpdate applies SGD or momentum to every layer.
 func (m *Model) ApplyUpdate(lr float64) {
-	m.mustTrain("ApplyUpdate")
 	ctx := m.Ctx
 	mu := m.Cfg.Momentum
 	ctx.MaybeFused(func() {
@@ -455,21 +401,4 @@ func (m *Model) checkInput(x *device.Buffer) {
 	if x.Rows != m.Batch || x.Cols != m.Cfg.InputDim() {
 		panic(fmt.Sprintf("convnet: input %dx%d, want %dx%d", x.Rows, x.Cols, m.Batch, m.Cfg.InputDim()))
 	}
-}
-
-// mustTrain panics when a training entry point is hit on a forward-only
-// model, whose gradient workspace was never allocated.
-func (m *Model) mustTrain(op string) {
-	if m.inferOnly {
-		panic("convnet: " + op + " on an inference-only model (built by NewInference)")
-	}
-}
-
-// sliceTo returns b itself for a full-height use and the [0,n) row view
-// otherwise, so partial batches reuse the same workspace.
-func sliceTo(b *device.Buffer, n int) *device.Buffer {
-	if n == b.Rows {
-		return b
-	}
-	return b.Slice(0, n)
 }

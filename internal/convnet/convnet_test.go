@@ -294,87 +294,6 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
-// TestInference32MatchesReference bounds the float32 serving path against
-// the float64 scalar reference: per-class probability error within the
-// reduced-precision budget at every ladder level, and argmax agreement.
-func TestInference32MatchesReference(t *testing.T) {
-	cfg := testCfg()
-	p := NewParams(cfg, 31)
-	p32 := p.To32()
-	n := 5
-	x, _, _ := labeledImages(cfg, rng.New(32), n)
-	x32 := x.To32()
-
-	for _, lvl := range kernels.Levels {
-		inf := NewInference32(nil, lvl, cfg, n, p32)
-		probs := inf.Infer(x32)
-		for i := 0; i < n; i++ {
-			want := p.PredictProbs(cfg, x.RowView(i))
-			got := probs.RowView(i)
-			for j := range want {
-				if d := math.Abs(float64(got[j]) - want[j]); d > 1e-4 {
-					t.Fatalf("level %v row %d class %d: f32 %g vs f64 %g", lvl, i, j, got[j], want[j])
-				}
-			}
-		}
-	}
-}
-
-// TestInferPartialBatch checks that sliced-workspace inference on fewer
-// rows than the model batch matches per-example reference outputs, for
-// both precisions.
-func TestInferPartialBatch(t *testing.T) {
-	cfg := testCfg()
-	p := NewParams(cfg, 41)
-	dev := device.New(sim.XeonPhi5110P(), true, nil)
-	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := NewInference(ctx, cfg, cfg.Batch, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Free()
-
-	n := cfg.Batch - 1
-	x, _, _ := labeledImages(cfg, rng.New(42), n)
-	dx := dev.MustAlloc(n, cfg.InputDim())
-	dev.CopyIn(dx, x, 0)
-	out := m.Infer(dx)
-	if out.Rows != n || out.Cols != cfg.Classes {
-		t.Fatalf("inference output %dx%d", out.Rows, out.Cols)
-	}
-	for i := 0; i < n; i++ {
-		want := p.PredictProbs(cfg, x.RowView(i))
-		got := out.Mat.RowView(i)
-		for j := range want {
-			if d := math.Abs(got[j] - want[j]); d > 1e-12 {
-				t.Fatalf("row %d class %d: %g vs %g", i, j, got[j], want[j])
-			}
-		}
-	}
-
-	inf32 := NewInference32(nil, kernels.ParallelBlocked, cfg, cfg.Batch, p.To32())
-	out32 := inf32.Infer(x.To32())
-	if out32.Rows != n {
-		t.Fatalf("f32 inference rows %d", out32.Rows)
-	}
-}
-
-func TestInferenceModelRejectsTraining(t *testing.T) {
-	cfg := testCfg()
-	dev := device.New(sim.XeonPhi5110P(), true, nil)
-	m, err := NewInference(blas.NewContext(dev, kernels.Naive, 1), cfg, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Free()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ApplyUpdate on an inference model must panic")
-		}
-	}()
-	m.ApplyUpdate(0.1)
-}
-
 func TestConfigValidation(t *testing.T) {
 	base := testCfg()
 	mutate := func(f func(*Config)) Config {

@@ -140,12 +140,6 @@ type LabeledTrainable interface {
 	OutputDim() int
 }
 
-// LabeledSource is a data source whose examples carry integer class labels.
-//
-// Deprecated: the interface moved to the data package as [data.Labeled];
-// this alias remains for source compatibility.
-type LabeledSource = data.Labeled
-
 // Trainer runs Algorithm 1 on one device.
 type Trainer struct {
 	Dev *device.Device

@@ -305,3 +305,15 @@ func TestStatsFlopsAccumulate(t *testing.T) {
 		t.Fatal("busy/makespan not tracked")
 	}
 }
+
+// TestExecUntracedAllocatesNothing pins the lazy trace naming: with
+// tracing off, a timing-only launch must not format the kernel's name.
+func TestExecUntracedAllocatesNothing(t *testing.T) {
+	d := New(sim.XeonPhi5110P(), false, nil)
+	a, b := d.MustAlloc(8, 8), d.MustAlloc(8, 8)
+	op := sim.Op{Kind: sim.OpGemm, M: 8, K: 8, N: 8, Level: kernels.ParallelBlocked}
+	deps, writes := []*Buffer{a, b}, []*Buffer{b}
+	if avg := testing.AllocsPerRun(100, func() { d.Exec(op, deps, writes, nil) }); avg != 0 {
+		t.Fatalf("untraced Exec allocates %.1f times per launch, want 0", avg)
+	}
+}

@@ -53,10 +53,20 @@ type wireReq struct {
 	Skipped bool    `json:"skipped"`
 }
 
+// maxBodyBytes caps a request body. A wireReq is a handful of numbers and
+// a consumer name, so 64 KiB leaves ample room while keeping a hostile
+// client from streaming an unbounded body into the decoder.
+const maxBodyBytes = 64 << 10
+
 func (s *server) decode(w http.ResponseWriter, r *http.Request, req *wireReq) bool {
 	req.Shard = -1
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-		httpErr(w, http.StatusBadRequest, fmt.Errorf("feed: bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpErr(w, status, fmt.Errorf("feed: bad request body: %w", err))
 		return false
 	}
 	return true

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"phideep/internal/data"
@@ -172,6 +173,29 @@ func TestHandlerErrors(t *testing.T) {
 	// Bad chunk query.
 	if resp := get(t, srv, "/chunk?shard=x&seq=0", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad query status %d", resp.StatusCode)
+	}
+}
+
+// TestHandlerBoundsBody checks that an oversized body is refused with a
+// 4xx instead of being decoded, and that the handler keeps serving.
+func TestHandlerBoundsBody(t *testing.T) {
+	f, err := New(data.Null{D: 2, N: 40}, Config{Plan: mustPlan(t, 40, 10, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(f))
+	defer srv.Close()
+
+	huge := map[string]string{"name": strings.Repeat("x", 2*maxBodyBytes)}
+	if resp := post(t, srv, "/subscribe", huge, nil); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	var sub struct{ Shard int }
+	if resp := post(t, srv, "/subscribe", map[string]string{"name": "n0"}, &sub); resp.StatusCode != http.StatusOK {
+		t.Fatalf("subscribe after oversized body: status %d", resp.StatusCode)
+	}
+	if sub.Shard != 0 {
+		t.Fatalf("first subscriber got shard %d", sub.Shard)
 	}
 }
 

@@ -62,15 +62,6 @@ type AE struct {
 	steps    int
 }
 
-// NewAE builds the pair of replicas with the models initialized
-// identically from seed.
-//
-// Deprecated: use BuildAE with AEConfig.Seed set.
-func NewAE(phiCtx, hostCtx *blas.Context, cfg AEConfig, seed uint64) (*AE, error) {
-	cfg.Seed = seed
-	return BuildAE(phiCtx, hostCtx, cfg)
-}
-
 // BuildAE builds the pair of replicas. phiCtx must be bound to a device
 // with a PCIe link (the coprocessor); hostCtx to a host device. The models
 // are initialized identically from cfg.Seed.

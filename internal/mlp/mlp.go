@@ -25,8 +25,7 @@ type Config struct {
 	// Momentum, when non-zero, applies classical momentum to every layer.
 	Momentum float64
 	// Batch is the minibatch size the device-resident model is built for.
-	// Build requires it; the deprecated four-argument constructor fills it
-	// from its positional batch argument.
+	// Build requires it.
 	Batch int
 	// Seed initializes the parameters. Zero is a valid seed.
 	Seed uint64
@@ -70,18 +69,6 @@ type Model struct {
 	act   []*device.Buffer // act[l]: Batch×Sizes[l+1] (post-activation)
 	delta []*device.Buffer // delta[l]: Batch×Sizes[l+1]
 	dA    []*device.Buffer // sigmoid-derivative scratch per hidden layer
-
-	// inferOnly marks a forward-only model built by NewInference.
-	inferOnly bool
-}
-
-// New allocates a model with random initialization.
-//
-// Deprecated: use Build with Config.Batch and Config.Seed set.
-func New(ctx *blas.Context, cfg Config, batch int, seed uint64) (*Model, error) {
-	cfg.Batch = batch
-	cfg.Seed = seed
-	return Build(ctx, cfg)
 }
 
 // Build allocates a model for cfg.Batch examples with the random
@@ -128,48 +115,6 @@ func Build(ctx *blas.Context, cfg Config) (*Model, error) {
 		return nil, err
 	}
 	m.Upload(NewParams(cfg, cfg.Seed))
-	return m, nil
-}
-
-// NewInference allocates a forward-only model for up to batch examples:
-// weights, biases and activations only — no gradient, velocity or delta
-// workspace. p, when non-nil, provides the weights; nil initializes from
-// cfg.Seed. Only Infer, Forward, Upload and Download work on an inference
-// model — the training entry points panic.
-func NewInference(ctx *blas.Context, cfg Config, batch int, p *Params) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if batch <= 0 {
-		return nil, fmt.Errorf("mlp: non-positive batch %d", batch)
-	}
-	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: true}
-	dev := ctx.Dev
-	var err error
-	alloc := func(r, c int) *device.Buffer {
-		if err != nil {
-			return nil
-		}
-		var b *device.Buffer
-		b, err = dev.Alloc(r, c)
-		return b
-	}
-	L := cfg.Layers()
-	m.W, m.B = make([]*device.Buffer, L), make([]*device.Buffer, L)
-	m.act = make([]*device.Buffer, L)
-	for l := 0; l < L; l++ {
-		in, out := cfg.Sizes[l], cfg.Sizes[l+1]
-		m.W[l], m.B[l] = alloc(in, out), alloc(1, out)
-		m.act[l] = alloc(batch, out)
-	}
-	if err != nil {
-		m.Free() // release the buffers allocated before the failure
-		return nil, err
-	}
-	if p == nil {
-		p = NewParams(cfg, cfg.Seed)
-	}
-	m.Upload(p)
 	return m, nil
 }
 
@@ -272,66 +217,10 @@ func (m *Model) Forward(x *device.Buffer) {
 	}
 }
 
-// Infer runs the batched forward pass for 1..Batch examples (one per row
-// of x) and returns a view of the softmax probabilities, x.Rows×Classes.
-// The returned buffer is owned by the model and overwritten by the next
-// call; CopyOut it (or read it) before inferring again. Unlike Forward it
-// accepts partial batches, computing on row views of the activation
-// workspace, and allocates nothing.
-func (m *Model) Infer(x *device.Buffer) *device.Buffer {
-	n := m.checkInfer(x)
-	ctx := m.Ctx
-	in := x
-	L := m.Cfg.Layers()
-	var out *device.Buffer
-	for l := 0; l < L; l++ {
-		layerIn, layer := in, l
-		out = sliceTo(m.act[l], n)
-		act := out
-		ctx.MaybeFused(func() {
-			ctx.Gemm(false, false, 1, layerIn, m.W[layer], 0, act)
-			ctx.AddBiasRow(act, m.B[layer])
-			if layer < L-1 {
-				ctx.Sigmoid(act, act)
-			} else {
-				ctx.SoftmaxRows(act, act)
-			}
-		})
-		in = out
-	}
-	return out
-}
-
-// checkInfer validates a forward-only input and returns its row count.
-func (m *Model) checkInfer(x *device.Buffer) int {
-	if x.Rows < 1 || x.Rows > m.Batch || x.Cols != m.Cfg.Sizes[0] {
-		panic(fmt.Sprintf("mlp: inference input %dx%d, want 1..%d×%d", x.Rows, x.Cols, m.Batch, m.Cfg.Sizes[0]))
-	}
-	return x.Rows
-}
-
-// sliceTo returns b itself for a full-height batch and the [0,n) row view
-// otherwise, so partial batches reuse the same workspace.
-func sliceTo(b *device.Buffer, n int) *device.Buffer {
-	if n == b.Rows {
-		return b
-	}
-	return b.Slice(0, n)
-}
-
-// mustTrain panics when a training entry point is hit on a forward-only
-// model, whose gradient workspace was never allocated.
-func (m *Model) mustTrain(op string) {
-	if m.inferOnly {
-		panic("mlp: " + op + " on an inference-only model (built by NewInference)")
-	}
-}
-
 // Backward computes the cross-entropy gradient for the batch (x, one-hot
 // y), averaged over the batch with the λ term included. Forward must have
 // run on the same x.
 func (m *Model) Backward(x, y *device.Buffer) {
-	m.mustTrain("Backward")
 	m.checkInput(x)
 	L := m.Cfg.Layers()
 	if y.Rows != m.Batch || y.Cols != m.Cfg.Sizes[L] {
@@ -371,7 +260,6 @@ func (m *Model) Backward(x, y *device.Buffer) {
 
 // ApplyUpdate applies SGD or momentum to every layer.
 func (m *Model) ApplyUpdate(lr float64) {
-	m.mustTrain("ApplyUpdate")
 	ctx := m.Ctx
 	mu := m.Cfg.Momentum
 	ctx.MaybeFused(func() {

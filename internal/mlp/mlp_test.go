@@ -15,6 +15,12 @@ import (
 	"phideep/internal/tensor"
 )
 
+// buildModel is Build with the batch size and seed given explicitly.
+func buildModel(ctx *blas.Context, cfg Config, batch int, seed uint64) (*Model, error) {
+	cfg.Batch, cfg.Seed = batch, seed
+	return Build(ctx, cfg)
+}
+
 func testCfg() Config {
 	return Config{Sizes: []int{10, 7, 5, 3}, Lambda: 1e-3}
 }
@@ -76,7 +82,7 @@ func TestDeviceMatchesReference(t *testing.T) {
 			ctx := blas.NewContext(dev, lvl, 1)
 			ctx.AutoFuse = improved
 			ctx.AutoConcurrent = improved
-			m, err := New(ctx, cfg, batch, 4)
+			m, err := buildModel(ctx, cfg, batch, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +139,7 @@ func TestTrainingLearnsSeparableProblem(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 5)
 	batch := 60
-	m, err := New(ctx, cfg, batch, 6)
+	m, err := buildModel(ctx, cfg, batch, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +173,7 @@ func TestInitFromStackWiring(t *testing.T) {
 	cfg := Config{Sizes: []int{16, 8, 4, 3}, Lambda: 1e-5}
 	// Wrong geometry must be rejected.
 	badCfg := Config{Sizes: []int{16, 9, 4, 3}}
-	bad, err := New(blas.NewContext(dev, kernels.Naive, 1), badCfg, 4, 1)
+	bad, err := buildModel(blas.NewContext(dev, kernels.Naive, 1), badCfg, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +182,7 @@ func TestInitFromStackWiring(t *testing.T) {
 	}
 	bad.Free()
 
-	m, err := New(blas.NewContext(dev, kernels.Naive, 1), cfg, 4, 1)
+	m, err := buildModel(blas.NewContext(dev, kernels.Naive, 1), cfg, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +210,7 @@ func TestPredictMatchesDeviceForward(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
 	batch := 4
-	m, err := New(ctx, cfg, batch, 11)
+	m, err := buildModel(ctx, cfg, batch, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +247,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	if _, err := New(ctx, Config{Sizes: []int{4, 2}}, 0, 1); err == nil {
+	if _, err := buildModel(ctx, Config{Sizes: []int{4, 2}}, 0, 1); err == nil {
 		t.Error("zero batch must fail")
 	}
 }
@@ -249,7 +255,7 @@ func TestConfigValidation(t *testing.T) {
 func TestFreeReleasesAll(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, Config{Sizes: []int{6, 4, 2}, Momentum: 0.9}, 3, 1)
+	m, err := buildModel(ctx, Config{Sizes: []int{6, 4, 2}, Momentum: 0.9}, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +268,7 @@ func TestFreeReleasesAll(t *testing.T) {
 func TestModelOnlyChargesTime(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), false, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, Config{Sizes: []int{1024, 512, 10}}, 1000, 1)
+	m, err := buildModel(ctx, Config{Sizes: []int{1024, 512, 10}}, 1000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

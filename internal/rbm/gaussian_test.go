@@ -49,7 +49,7 @@ func TestGaussianVisibleMeanFieldMatchesReference(t *testing.T) {
 			ctx := blas.NewContext(dev, lvl, 1)
 			ctx.AutoFuse = improved
 			ctx.AutoConcurrent = improved
-			m, err := New(ctx, cfg, batch, 2)
+			m, err := buildModel(ctx, cfg, batch, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestGaussianRBMTrainsOnContinuousData(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 7)
 	batch := 40
-	m, err := New(ctx, cfg, batch, 8)
+	m, err := buildModel(ctx, cfg, batch, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestGaussianSamplingIsNoisyAroundTheMean(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 13)
 	batch := 50
-	m, err := New(ctx, cfg, batch, 14)
+	m, err := buildModel(ctx, cfg, batch, 14)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func TestMomentumMatchesManualUpdate(t *testing.T) {
 	cfg := Config{Visible: 6, Hidden: 4, Momentum: 0.8}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, cfg, 8, 2)
+	m, err := buildModel(ctx, cfg, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestMomentumTrainingStillImprovesLikelihood(t *testing.T) {
 	cfg := Config{Visible: 8, Hidden: 4, SampleHidden: true, Momentum: 0.5}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 16)
-	m, err := New(ctx, cfg, 30, 17)
+	m, err := buildModel(ctx, cfg, 30, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestMomentumValidationAndFree(t *testing.T) {
 	}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, Config{Visible: 4, Hidden: 2, Momentum: 0.9}, 4, 1)
+	m, err := buildModel(ctx, Config{Visible: 4, Hidden: 2, Momentum: 0.9}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

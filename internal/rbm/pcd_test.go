@@ -16,7 +16,7 @@ func TestPCDImprovesLikelihood(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 16)
 	batch := 30
-	m, err := New(ctx, cfg, batch, 17)
+	m, err := buildModel(ctx, cfg, batch, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestPCDChainPersistsAcrossSteps(t *testing.T) {
 	cfg := Config{Visible: 6, Hidden: 3, SampleHidden: true, SampleVisible: true, Persistent: true}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 23)
-	m, err := New(ctx, cfg, 10, 24)
+	m, err := buildModel(ctx, cfg, 10, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPCDChainPersistsAcrossSteps(t *testing.T) {
 func TestPCDFreeAndValidation(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, Config{Visible: 4, Hidden: 2, Persistent: true}, 3, 1)
+	m, err := buildModel(ctx, Config{Visible: 4, Hidden: 2, Persistent: true}, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,7 @@ type Config struct {
 	SparsityTarget float64
 	SparsityCost   float64
 	// Batch is the minibatch size the device-resident model is built for.
-	// Build requires it; the deprecated four-argument constructor fills it
-	// from its positional batch argument.
+	// Build requires it.
 	Batch int
 	// Seed initializes the parameters (and, via the context, the sampling
 	// streams). Zero is a valid seed.
@@ -125,19 +124,6 @@ type Model struct {
 	// pchain holds the persistent fantasy particles (PCD only).
 	pchain      *device.Buffer
 	chainSeeded bool
-
-	// inferOnly marks a forward-only model built by NewInference.
-	inferOnly bool
-}
-
-// New allocates a model for the given batch size and uploads the reference
-// initialization (small Gaussian weights, zero biases).
-//
-// Deprecated: use Build with Config.Batch and Config.Seed set.
-func New(ctx *blas.Context, cfg Config, batch int, seed uint64) (*Model, error) {
-	cfg.Batch = batch
-	cfg.Seed = seed
-	return Build(ctx, cfg)
 }
 
 // Build allocates a model for cfg.Batch examples and uploads the reference
@@ -181,44 +167,6 @@ func Build(ctx *blas.Context, cfg Config) (*Model, error) {
 		return nil, err
 	}
 	m.Upload(NewParams(cfg, cfg.Seed))
-	return m, nil
-}
-
-// NewInference allocates a forward-only model for up to batch examples:
-// parameters plus the two probability buffers, no gradient, velocity or
-// chain workspace. p, when non-nil, provides the weights; nil initializes
-// from cfg.Seed. Only Encode, Reconstruct, Upload and Download work on an
-// inference model — the training entry points panic. Inference is
-// deterministic mean-field (no sampling), matching Params.Encode exactly.
-func NewInference(ctx *blas.Context, cfg Config, batch int, p *Params) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if batch <= 0 {
-		return nil, fmt.Errorf("rbm: non-positive batch size %d", batch)
-	}
-	m := &Model{Cfg: cfg, Ctx: ctx, Batch: batch, inferOnly: true}
-	dev := ctx.Dev
-	var err error
-	alloc := func(r, c int) *device.Buffer {
-		if err != nil {
-			return nil
-		}
-		var b *device.Buffer
-		b, err = dev.Alloc(r, c)
-		return b
-	}
-	v, h := cfg.Visible, cfg.Hidden
-	m.W, m.B, m.C = alloc(v, h), alloc(1, v), alloc(1, h)
-	m.ph0, m.pv1 = alloc(batch, h), alloc(batch, v)
-	if err != nil {
-		m.Free() // release the buffers allocated before the failure
-		return nil, err
-	}
-	if p == nil {
-		p = NewParams(cfg, cfg.Seed)
-	}
-	m.Upload(p)
 	return m, nil
 }
 
@@ -287,61 +235,12 @@ func (m *Model) visibleFrom(dst, h *device.Buffer) {
 	})
 }
 
-// Encode computes the deterministic hidden representation σ(x·W + c) for
-// 1..Batch examples (one per row of x) and returns a view of the result,
-// x.Rows×Hidden. The returned buffer is owned by the model and overwritten
-// by the next call; CopyOut it (or read it) before encoding again. It is
-// bit-identical to Params.Encode at the Baseline level.
-func (m *Model) Encode(x *device.Buffer) *device.Buffer {
-	n := m.checkInfer(x)
-	y := sliceTo(m.ph0, n)
-	m.hiddenFrom(y, x)
-	return y
-}
-
-// Reconstruct maps 1..Batch examples through the mean-field round trip:
-// hidden probabilities from Encode, then the visible reconstruction
-// σ(h·Wᵀ + b) (or the linear Gaussian mean). Returns an x.Rows×Visible
-// view owned by the model, overwritten by the next call.
-func (m *Model) Reconstruct(x *device.Buffer) *device.Buffer {
-	y := m.Encode(x)
-	z := sliceTo(m.pv1, y.Rows)
-	m.visibleFrom(z, y)
-	return z
-}
-
-// checkInfer validates a forward-only input and returns its row count.
-func (m *Model) checkInfer(x *device.Buffer) int {
-	if x.Rows < 1 || x.Rows > m.Batch || x.Cols != m.Cfg.Visible {
-		panic(fmt.Sprintf("rbm: inference input %dx%d, want 1..%d×%d", x.Rows, x.Cols, m.Batch, m.Cfg.Visible))
-	}
-	return x.Rows
-}
-
-// sliceTo returns b itself for a full-height batch and the [0,n) row view
-// otherwise, so partial batches reuse the same workspace.
-func sliceTo(b *device.Buffer, n int) *device.Buffer {
-	if n == b.Rows {
-		return b
-	}
-	return b.Slice(0, n)
-}
-
-// mustTrain panics when a training entry point is hit on a forward-only
-// model, whose gradient and chain workspace was never allocated.
-func (m *Model) mustTrain(op string) {
-	if m.inferOnly {
-		panic("rbm: " + op + " on an inference-only model (built by NewInference)")
-	}
-}
-
 // Gradient runs the CD-k chain from the data batch v0 (Batch×Visible) and
 // leaves the averaged log-likelihood gradient in GW/GB/GC. The schedule
 // follows Fig. 6: once the positive hidden probabilities exist, the data
 // statistics V0ᵀ·PH0 run concurrently with the reconstruction chain, and
 // the final Vb/Vc/Vw reductions run concurrently with each other.
 func (m *Model) Gradient(v0 *device.Buffer) {
-	m.mustTrain("Gradient")
 	m.checkInput(v0)
 	ctx := m.Ctx
 
@@ -471,7 +370,6 @@ func (m *Model) sampleVisible() {
 // ApplyUpdate ascends the log likelihood: θ ← θ + lr·∇θ (Eq. 13), with
 // classical momentum when Cfg.Momentum > 0.
 func (m *Model) ApplyUpdate(lr float64) {
-	m.mustTrain("ApplyUpdate")
 	ctx := m.Ctx
 	if m.Cfg.Momentum == 0 {
 		ctx.MaybeFused(func() {

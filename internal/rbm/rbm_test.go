@@ -13,6 +13,12 @@ import (
 	"phideep/internal/tensor"
 )
 
+// buildModel is Build with the batch size and seed given explicitly.
+func buildModel(ctx *blas.Context, cfg Config, batch int, seed uint64) (*Model, error) {
+	cfg.Batch, cfg.Seed = batch, seed
+	return Build(ctx, cfg)
+}
+
 func binaryBatch(r *rng.RNG, n, dim int, p float64) *tensor.Matrix {
 	x := tensor.NewMatrix(n, dim)
 	for i := 0; i < n; i++ {
@@ -170,7 +176,7 @@ func TestDeviceMeanFieldMatchesReference(t *testing.T) {
 			ctx := blas.NewContext(dev, lvl, 1)
 			ctx.AutoFuse = improved
 			ctx.AutoConcurrent = improved
-			m, err := New(ctx, cfg, batch, 14)
+			m, err := buildModel(ctx, cfg, batch, 14)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +203,7 @@ func TestTrainingImprovesLikelihoodAndReconstruction(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 16)
 	batch := 30
-	m, err := New(ctx, cfg, batch, 17)
+	m, err := buildModel(ctx, cfg, batch, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +230,7 @@ func TestCDkMoreStepsStillWork(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 19)
 	batch := 20
-	m, err := New(ctx, cfg, batch, 20)
+	m, err := buildModel(ctx, cfg, batch, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +252,7 @@ func TestSamplingDeterministicPerSeed(t *testing.T) {
 	run := func() *tensor.Matrix {
 		dev := device.New(sim.XeonPhi5110P(), true, nil)
 		ctx := blas.NewContext(dev, kernels.ParallelBlocked, 23)
-		m, _ := New(ctx, cfg, 10, 24)
+		m, _ := buildModel(ctx, cfg, 10, 24)
 		x := binaryBatch(rng.New(25), 10, 6, 0.5)
 		dx := dev.MustAlloc(10, 6)
 		dev.CopyIn(dx, x, 0)
@@ -277,7 +283,7 @@ func TestConfigValidationAndDefaults(t *testing.T) {
 	}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	if _, err := New(ctx, Config{Visible: 2, Hidden: 2}, 0, 1); err == nil {
+	if _, err := buildModel(ctx, Config{Visible: 2, Hidden: 2}, 0, 1); err == nil {
 		t.Error("zero batch should fail")
 	}
 }
@@ -285,7 +291,7 @@ func TestConfigValidationAndDefaults(t *testing.T) {
 func TestFreeReleasesAllBuffers(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, Config{Visible: 5, Hidden: 3}, 4, 1)
+	m, err := buildModel(ctx, Config{Visible: 5, Hidden: 3}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +315,7 @@ func TestLogLikelihoodGuards(t *testing.T) {
 func TestTrainableInterface(t *testing.T) {
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, _ := New(ctx, Config{Visible: 5, Hidden: 3}, 4, 1)
+	m, _ := buildModel(ctx, Config{Visible: 5, Hidden: 3}, 4, 1)
 	if m.BatchSize() != 4 || m.InputDim() != 5 {
 		t.Fatal("Trainable accessors wrong")
 	}

@@ -15,7 +15,7 @@ func TestWeightDecayShrinksWeights(t *testing.T) {
 		cfg := Config{Visible: 8, Hidden: 5, Lambda: lambda, SampleHidden: true}
 		dev := device.New(sim.XeonPhi5110P(), true, nil)
 		ctx := blas.NewContext(dev, kernels.ParallelBlocked, 3)
-		m, err := New(ctx, cfg, 20, 4)
+		m, err := buildModel(ctx, cfg, 20, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestWeightDecayMatchesManualGradient(t *testing.T) {
 	cfg := Config{Visible: 5, Hidden: 3, Lambda: 0.02}
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.ParallelBlocked, 1)
-	m, err := New(ctx, cfg, 6, 7)
+	m, err := buildModel(ctx, cfg, 6, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSparsityRegularizerDrivesHiddenActivity(t *testing.T) {
 			SparsityTarget: 0.1, SparsityCost: cost}
 		dev := device.New(sim.XeonPhi5110P(), true, nil)
 		ctx := blas.NewContext(dev, kernels.ParallelBlocked, 9)
-		m, err := New(ctx, cfg, 30, 10)
+		m, err := buildModel(ctx, cfg, 30, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestRegularizerValidation(t *testing.T) {
 	// Buffers freed including rowH.
 	dev := device.New(sim.XeonPhi5110P(), true, nil)
 	ctx := blas.NewContext(dev, kernels.Naive, 1)
-	m, err := New(ctx, Config{Visible: 4, Hidden: 2, SparsityTarget: 0.1, SparsityCost: 1}, 3, 1)
+	m, err := buildModel(ctx, Config{Visible: 4, Hidden: 2, SparsityTarget: 0.1, SparsityCost: 1}, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,14 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
+	"phideep/internal/blas"
 	"phideep/internal/convnet"
 	"phideep/internal/core"
 	"phideep/internal/device"
+	"phideep/internal/kernels"
 	"phideep/internal/sim"
 	"phideep/internal/tensor"
 )
@@ -24,80 +25,16 @@ func convTestConfig() convnet.Config {
 }
 
 // TestConvnetServedMatchesDirectDevice is the convnet acceptance check: at
-// every OptLevel, coalesced served predictions are bitwise equal to a
-// direct single-example device forward at the same level, and match the
-// scalar host reference bitwise at Baseline (1e-12 relative at the blocked
-// levels, which regroup the K-summation).
+// every OptLevel, coalesced served predictions are bitwise equal to the
+// training convnet's device forward pass at Batch 1 on the same level, and
+// match the scalar host reference bitwise at Baseline (1e-12 relative at
+// the blocked levels, which regroup the K-summation).
 func TestConvnetServedMatchesDirectDevice(t *testing.T) {
 	cfg := convTestConfig()
-	p := convnet.NewParams(cfg, 81)
-	const n = 9
-	xs := randExamples(n, cfg.InputDim(), 82)
-
+	c := convnetCase("convnet", cfg, convnet.NewParams(cfg, 81))
+	xs := randExamples(9, cfg.InputDim(), 82)
 	for _, lvl := range core.OptLevels {
-		lvl := lvl
-		t.Run(lvl.String(), func(t *testing.T) {
-			srv, err := New(Convnet(cfg, p), Config{
-				Level:    lvl,
-				Workers:  2,
-				MaxBatch: 4,
-				MaxWait:  2 * time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-
-			dev := device.New(sim.XeonPhi5110P(), true, nil)
-			ctx := core.NewContext(dev, lvl, 0, 99)
-			direct, err := convnet.NewInference(ctx, cfg, 4, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer direct.Free()
-			xbuf := dev.MustAlloc(4, cfg.InputDim())
-			stage := tensor.NewMatrix(4, cfg.InputDim())
-
-			served := make([][]float64, n)
-			var wg sync.WaitGroup
-			for i := range xs {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					out, err := srv.Predict(xs[i])
-					if err != nil {
-						t.Errorf("Predict: %v", err)
-						return
-					}
-					served[i] = out
-				}(i)
-			}
-			wg.Wait()
-
-			for i, x := range xs {
-				copy(stage.RowView(0), x)
-				dev.CopyIn(xbuf, stage, 0)
-				out := direct.Infer(xbuf.Slice(0, 1))
-				ref := tensor.NewMatrix(1, out.Cols)
-				dev.CopyOut(out, ref)
-				want := ref.RowView(0)
-				hostWant := p.PredictProbs(cfg, x)
-
-				for j := range want {
-					if served[i][j] != want[j] {
-						t.Fatalf("%s: served[%d][%d] = %g, direct device = %g (coalescing changed bits)",
-							lvl, i, j, served[i][j], want[j])
-					}
-					if lvl == core.Baseline {
-						if served[i][j] != hostWant[j] {
-							t.Fatalf("Baseline: served[%d][%d] = %g, host reference = %g", i, j, served[i][j], hostWant[j])
-						}
-					} else if !closeRel(served[i][j], hostWant[j], 1e-12) {
-						t.Fatalf("%s: served[%d][%d] = %g, host reference = %g beyond 1e-12", lvl, i, j, served[i][j], hostWant[j])
-					}
-				}
-			}
-		})
+		t.Run(lvl.String(), func(t *testing.T) { checkServed(t, lvl, c, xs) })
 	}
 }
 
@@ -221,5 +158,73 @@ func TestConvnetCheckpointLoad(t *testing.T) {
 
 	if _, err := ConvnetFromCheckpoint(cfg, filepath.Join(t.TempDir(), "missing.phck")); err == nil {
 		t.Fatal("missing checkpoint should fail")
+	}
+}
+
+// TestConvnetF32MatchesReference bounds the convnet on the f32 host loop
+// against the float64 scalar reference: per-class probability error within
+// the reduced-precision budget at every kernel ladder level.
+func TestConvnetF32MatchesReference(t *testing.T) {
+	cfg := convTestConfig()
+	p := convnet.NewParams(cfg, 31)
+	const n = 5
+	xs := randExamples(n, cfg.InputDim(), 32)
+	x32 := tensor.NewMatrix32(n, cfg.InputDim())
+	for i, x := range xs {
+		tensor.Round32(x32.RowView(i), x)
+	}
+	m := Convnet(cfg, p)
+	for _, lvl := range kernels.Levels {
+		probs := newHostForward(m, nil, lvl, n).run(x32, len(m.prog.nodes))
+		for i, x := range xs {
+			want := p.PredictProbs(cfg, x)
+			got := probs.RowView(i)
+			for j := range want {
+				if d := math.Abs(float64(got[j]) - want[j]); d > 1e-4 {
+					t.Fatalf("level %v row %d class %d: f32 %g vs f64 %g", lvl, i, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// TestConvnetPartialBatch checks that both forward loops run fewer rows
+// than their workspace on row views, matching per-example references.
+func TestConvnetPartialBatch(t *testing.T) {
+	cfg := convTestConfig()
+	p := convnet.NewParams(cfg, 41)
+	m := Convnet(cfg, p)
+	dev := device.New(sim.XeonPhi5110P(), true, nil)
+	f, err := NewDeviceForward(blas.NewContext(dev, kernels.ParallelBlocked, 1), m, cfg.Batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Free()
+
+	n := cfg.Batch - 1
+	xs := randExamples(n, cfg.InputDim(), 42)
+	x := tensor.NewMatrix(n, cfg.InputDim())
+	for i := range xs {
+		copy(x.RowView(i), xs[i])
+	}
+	dx := dev.MustAlloc(n, cfg.InputDim())
+	dev.CopyIn(dx, x, 0)
+	out := f.Infer(dx)
+	if out.Rows != n || out.Cols != cfg.Classes {
+		t.Fatalf("inference output %dx%d", out.Rows, out.Cols)
+	}
+	for i := 0; i < n; i++ {
+		want := p.PredictProbs(cfg, x.RowView(i))
+		got := out.Mat.RowView(i)
+		for j := range want {
+			if d := math.Abs(got[j] - want[j]); d > 1e-12 {
+				t.Fatalf("row %d class %d: %g vs %g", i, j, got[j], want[j])
+			}
+		}
+	}
+
+	out32 := newHostForward(m, nil, kernels.ParallelBlocked, cfg.Batch).run(x.To32(), len(m.prog.nodes))
+	if out32.Rows != n {
+		t.Fatalf("f32 inference rows %d", out32.Rows)
 	}
 }

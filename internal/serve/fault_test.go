@@ -216,7 +216,7 @@ func TestChaosPermanentDegraded(t *testing.T) {
 	defer srv.Close()
 	// Worker 1 is the designated survivor: disarm its injector so only
 	// worker 0's seeded stream decides the lifecycle.
-	srv.workers[1].ctx.Dev.DisableFaults()
+	srv.workers[1].fwd.ctx.Dev.DisableFaults()
 
 	// Phase A: concurrent barrage. Worker 0 dies within its first three
 	// batches; its fatal batch re-dispatches to the immortal survivor, so

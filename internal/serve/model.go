@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sync"
 
 	"phideep/internal/autoencoder"
@@ -10,61 +11,53 @@ import (
 	"phideep/internal/core"
 	"phideep/internal/mlp"
 	"phideep/internal/rbm"
-)
-
-// modelKind discriminates the served model family.
-type modelKind int
-
-const (
-	kindAE modelKind = iota
-	kindRBM
-	kindMLP
-	kindConv
+	"phideep/internal/tensor"
 )
 
 // Model is an immutable, host-side snapshot of a trained model ready to be
-// served. The constructors deep-copy the parameters (copy-on-load), so the
-// source — a live training run, a checkpoint buffer — can keep mutating
-// without racing the server. Workers upload the snapshot into their private
-// devices at startup and never write it.
+// served, compiled to a forward program. The constructors deep-copy the
+// parameters (copy-on-load), so the source — a live training run, a
+// checkpoint buffer — can keep mutating without racing the server.
+// Workers upload the snapshot into their private devices (or share its
+// f32 rounding) at startup and never write it.
+//
+// Each operation runs a prefix of the node list: Encode the first node,
+// Reconstruct and Predict the whole list. Adding a model kind means one
+// constructor below.
 type Model struct {
-	kind modelKind
+	kind string
+	// invalid is the config's validation error, reported by New.
+	invalid error
+	prog    program
+	// prefix maps an op to the number of leading nodes answering it;
+	// 0 marks an op the model does not support.
+	prefix [numOps]int
+	// host answers one request with the scalar host reference — the
+	// Degrade path. Bit-identical to the device path at core.Baseline;
+	// toleranced (≈1e-12 relative) against the blocked levels, which
+	// reorder the reduction.
+	host func(op Op, x, out []float64)
 
-	aeCfg   autoencoder.Config
-	rbmCfg  rbm.Config
-	mlpCfg  mlp.Config
-	convCfg convnet.Config
-
-	ae *autoencoder.Params
-	rb *rbm.Params
-	ml *mlp.Params
-	cv *convnet.Params
-
-	// Float32 weight snapshots for Precision F32, converted lazily (first
-	// worker that needs them) and exactly once, then shared read-only by
-	// every reduced-precision replica.
+	// The float32 rounding of prog.params for Precision F32, converted by
+	// the first worker that needs it and shared read-only by every
+	// reduced-precision worker.
 	once32 sync.Once
-	ae32   *autoencoder.Params32
-	rb32   *rbm.Params32
-	ml32   *mlp.Params32
-	cv32   *convnet.Params32
+	w32    []*tensor.Matrix32
 }
 
-// convert32 rounds the model's parameters to float32 once; subsequent calls
-// are free. The snapshot is immutable like the f64 parameters it mirrors.
-func (m *Model) convert32() {
+// weights32 rounds the parameters to float32 once; later calls are free.
+func (m *Model) weights32() []*tensor.Matrix32 {
 	m.once32.Do(func() {
-		switch m.kind {
-		case kindAE:
-			m.ae32 = m.ae.To32()
-		case kindRBM:
-			m.rb32 = m.rb.To32()
-		case kindMLP:
-			m.ml32 = m.ml.To32()
-		case kindConv:
-			m.cv32 = m.cv.To32()
+		for _, w := range m.prog.params {
+			m.w32 = append(m.w32, w.To32())
 		}
 	})
+	return m.w32
+}
+
+// denseNode is a Dense step over parameters w and b.
+func denseNode(w, b int, transB bool, a act) node {
+	return node{kind: dense, w: w, b: b, transB: transB, act: a}
 }
 
 // Autoencoder wraps autoencoder parameters for serving (Encode and
@@ -76,7 +69,29 @@ func Autoencoder(cfg autoencoder.Config, p *autoencoder.Params) *Model {
 	} else {
 		p = p.Clone()
 	}
-	return &Model{kind: kindAE, aeCfg: cfg, ae: p}
+	return autoencoderModel(cfg, p)
+}
+
+// autoencoderModel compiles y = σ(x·W1 + b1), z = σ(y·W2 + b2); a tied
+// decoder multiplies by W1ᵀ instead.
+func autoencoderModel(cfg autoencoder.Config, p *autoencoder.Params) *Model {
+	m := &Model{kind: "autoencoder", invalid: cfg.Validate(), prefix: [numOps]int{OpEncode: 1, OpReconstruct: 2}}
+	m.prog.in = cfg.Visible
+	w1, b1 := m.prog.addParam(p.W1), m.prog.addParam(p.B1.AsRow())
+	w2 := w1
+	if !cfg.Tied {
+		w2 = m.prog.addParam(p.W2)
+	}
+	b2 := m.prog.addParam(p.B2.AsRow())
+	m.prog.nodes = []node{denseNode(w1, b1, false, sigmoid), denseNode(w2, b2, cfg.Tied, sigmoid)}
+	m.host = func(op Op, x, out []float64) {
+		if op == OpEncode {
+			p.Encode(x, out)
+		} else {
+			p.Reconstruct(x, out, cfg.Tied)
+		}
+	}
+	return m
 }
 
 // RBM wraps RBM parameters for serving (Encode and mean-field
@@ -87,7 +102,28 @@ func RBM(cfg rbm.Config, p *rbm.Params) *Model {
 	} else {
 		p = p.Clone()
 	}
-	return &Model{kind: kindRBM, rbmCfg: cfg, rb: p}
+	return rbmModel(cfg, p)
+}
+
+// rbmModel compiles the deterministic mean-field round trip h = σ(x·W + c),
+// v = σ(h·Wᵀ + b), with linear visibles for a Gaussian RBM.
+func rbmModel(cfg rbm.Config, p *rbm.Params) *Model {
+	m := &Model{kind: "rbm", invalid: cfg.Validate(), prefix: [numOps]int{OpEncode: 1, OpReconstruct: 2}}
+	m.prog.in = cfg.Visible
+	w, b, c := m.prog.addParam(p.W), m.prog.addParam(p.B.AsRow()), m.prog.addParam(p.C.AsRow())
+	vis := sigmoid
+	if cfg.GaussianVisible {
+		vis = identity
+	}
+	m.prog.nodes = []node{denseNode(w, c, false, sigmoid), denseNode(w, b, true, vis)}
+	m.host = func(op Op, x, out []float64) {
+		if op == OpEncode {
+			p.Encode(x, out)
+		} else {
+			p.Reconstruct(x, out, cfg.GaussianVisible)
+		}
+	}
+	return m
 }
 
 // MLP wraps classifier parameters for serving (Predict). p is deep-copied;
@@ -96,9 +132,33 @@ func MLP(cfg mlp.Config, p *mlp.Params) *Model {
 	if p == nil {
 		p = mlp.NewParams(cfg, cfg.Seed)
 	} else {
-		p = cloneMLP(cfg, p)
+		c := mlp.NewParams(cfg, 0)
+		for l := range p.W {
+			c.W[l] = p.W[l].Clone()
+			c.B[l] = p.B[l].Clone()
+		}
+		p = c
 	}
-	return &Model{kind: kindMLP, mlpCfg: cfg, ml: p}
+	return mlpModel(cfg, p)
+}
+
+// mlpModel compiles sigmoid hidden layers and a softmax head.
+func mlpModel(cfg mlp.Config, p *mlp.Params) *Model {
+	m := &Model{kind: "mlp", invalid: cfg.Validate()}
+	if m.invalid != nil {
+		return m
+	}
+	m.prog.in = cfg.Sizes[0]
+	for l := range p.W {
+		a := sigmoid
+		if l == len(p.W)-1 {
+			a = softmax
+		}
+		m.prog.nodes = append(m.prog.nodes, denseNode(m.prog.addParam(p.W[l]), m.prog.addParam(p.B[l].AsRow()), false, a))
+	}
+	m.prefix[OpPredict] = len(m.prog.nodes)
+	m.host = func(_ Op, x, out []float64) { copy(out, p.PredictProbs(cfg, x)) }
+	return m
 }
 
 // Convnet wraps convolutional-classifier parameters for serving (Predict).
@@ -109,172 +169,101 @@ func Convnet(cfg convnet.Config, p *convnet.Params) *Model {
 	} else {
 		p = p.Clone()
 	}
-	return &Model{kind: kindConv, convCfg: cfg, cv: p}
+	return convnetModel(cfg, p)
 }
 
-// cloneMLP deep-copies classifier parameters (mlp.Params has no Clone).
-func cloneMLP(cfg mlp.Config, p *mlp.Params) *mlp.Params {
-	c := mlp.NewParams(cfg, 0)
-	for l := range p.W {
-		c.W[l] = p.W[l].Clone()
-		c.B[l] = p.B[l].Clone()
+// convnetModel compiles conv → pool → conv → pool → softmax, the same
+// im2col lowering the training model runs.
+func convnetModel(cfg convnet.Config, p *convnet.Params) *Model {
+	m := &Model{kind: "convnet", invalid: cfg.Validate()}
+	m.prog.in = cfg.InputDim()
+	pr := &m.prog
+	m.prog.nodes = []node{
+		{kind: conv, conv: cfg.Conv1Shape(), w: pr.addParam(p.Conv1.W), b: pr.addParam(p.Conv1.B.AsRow()), act: sigmoid},
+		{kind: pool, pool: cfg.Pool1Shape()},
+		{kind: conv, conv: cfg.Conv2Shape(), w: pr.addParam(p.Conv2.W), b: pr.addParam(p.Conv2.B.AsRow()), act: sigmoid},
+		{kind: pool, pool: cfg.Pool2Shape()},
+		denseNode(pr.addParam(p.W3), pr.addParam(p.B3.AsRow()), false, softmax),
 	}
-	return c
+	m.prefix[OpPredict] = len(m.prog.nodes)
+	m.host = func(_ Op, x, out []float64) { copy(out, p.PredictProbs(cfg, x)) }
+	return m
 }
 
-// AutoencoderFromCheckpoint loads autoencoder parameters from a PHCK
-// checkpoint written by core.Trainer or phitrain. The checkpoint stores
-// only the flat parameter data; cfg must describe the geometry it was
-// trained with.
-func AutoencoderFromCheckpoint(cfg autoencoder.Config, path string) (*Model, error) {
+// fromCheckpoint loads a model from a PHCK checkpoint written by
+// core.Trainer or phitrain. The checkpoint stores only the flat parameter
+// data, so cfg must describe the geometry it was trained with; the
+// trainer's RNG state that follows the parameters is not needed.
+func fromCheckpoint[C any, P interface{ Load(io.Reader) error }](path string, cfg C, alloc func(C, uint64) P, compile func(C, P) *Model) (*Model, error) {
 	c, err := core.ReadCheckpoint(path)
 	if err != nil {
 		return nil, err
 	}
-	p := autoencoder.NewParams(cfg, 0)
-	// The model blob is the parameter set followed by the trainer's RNG
-	// state, which serving does not need.
+	p := alloc(cfg, 0)
 	if err := p.Load(bytes.NewReader(c.Model)); err != nil {
 		return nil, fmt.Errorf("serve: checkpoint %s: %w", path, err)
 	}
-	return &Model{kind: kindAE, aeCfg: cfg, ae: p}, nil
+	return compile(cfg, p), nil
+}
+
+// AutoencoderFromCheckpoint loads autoencoder parameters from a PHCK
+// checkpoint.
+func AutoencoderFromCheckpoint(cfg autoencoder.Config, path string) (*Model, error) {
+	return fromCheckpoint(path, cfg, autoencoder.NewParams, autoencoderModel)
 }
 
 // RBMFromCheckpoint loads RBM parameters from a PHCK checkpoint.
 func RBMFromCheckpoint(cfg rbm.Config, path string) (*Model, error) {
-	c, err := core.ReadCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
-	p := rbm.NewParams(cfg, 0)
-	if err := p.Load(bytes.NewReader(c.Model)); err != nil {
-		return nil, fmt.Errorf("serve: checkpoint %s: %w", path, err)
-	}
-	return &Model{kind: kindRBM, rbmCfg: cfg, rb: p}, nil
+	return fromCheckpoint(path, cfg, rbm.NewParams, rbmModel)
 }
 
 // MLPFromCheckpoint loads classifier parameters from a PHCK checkpoint.
 func MLPFromCheckpoint(cfg mlp.Config, path string) (*Model, error) {
-	c, err := core.ReadCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
-	p := mlp.NewParams(cfg, 0)
-	if err := p.Load(bytes.NewReader(c.Model)); err != nil {
-		return nil, fmt.Errorf("serve: checkpoint %s: %w", path, err)
-	}
-	return &Model{kind: kindMLP, mlpCfg: cfg, ml: p}, nil
+	return fromCheckpoint(path, cfg, mlp.NewParams, mlpModel)
 }
 
 // ConvnetFromCheckpoint loads convnet parameters from a PHCK checkpoint.
 func ConvnetFromCheckpoint(cfg convnet.Config, path string) (*Model, error) {
-	c, err := core.ReadCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
-	p := convnet.NewParams(cfg, 0)
-	if err := p.Load(bytes.NewReader(c.Model)); err != nil {
-		return nil, fmt.Errorf("serve: checkpoint %s: %w", path, err)
-	}
-	return &Model{kind: kindConv, convCfg: cfg, cv: p}, nil
+	return fromCheckpoint(path, cfg, convnet.NewParams, convnetModel)
 }
 
 // Kind names the model family: "autoencoder", "rbm", "mlp" or "convnet".
-func (m *Model) Kind() string {
-	switch m.kind {
-	case kindAE:
-		return "autoencoder"
-	case kindRBM:
-		return "rbm"
-	case kindMLP:
-		return "mlp"
-	case kindConv:
-		return "convnet"
-	default:
-		return fmt.Sprintf("kind(%d)", int(m.kind))
-	}
-}
+func (m *Model) Kind() string { return m.kind }
 
 // InputDim is the expected request vector length.
-func (m *Model) InputDim() int {
-	switch m.kind {
-	case kindAE:
-		return m.aeCfg.Visible
-	case kindRBM:
-		return m.rbmCfg.Visible
-	case kindConv:
-		return m.convCfg.InputDim()
-	default:
-		return m.mlpCfg.Sizes[0]
-	}
-}
+func (m *Model) InputDim() int { return m.prog.in }
 
-// OutputDim is the response vector length for op.
+// OutputDim is the response vector length for op (0 for an op the model
+// does not support).
 func (m *Model) OutputDim(op Op) int {
-	switch m.kind {
-	case kindAE:
-		if op == OpEncode {
-			return m.aeCfg.Hidden
-		}
-		return m.aeCfg.Visible
-	case kindRBM:
-		if op == OpEncode {
-			return m.rbmCfg.Hidden
-		}
-		return m.rbmCfg.Visible
-	case kindConv:
-		return m.convCfg.Classes
-	default:
-		return m.mlpCfg.Sizes[len(m.mlpCfg.Sizes)-1]
+	if !m.supports(op) {
+		return 0
 	}
+	return m.prog.width(m.prefix[op])
 }
 
 // Ops lists the operations this model answers.
 func (m *Model) Ops() []Op {
-	if m.kind == kindMLP || m.kind == kindConv {
-		return []Op{OpPredict}
+	var ops []Op
+	for op := Op(0); op < numOps; op++ {
+		if m.supports(op) {
+			ops = append(ops, op)
+		}
 	}
-	return []Op{OpEncode, OpReconstruct}
+	return ops
 }
 
-// supports reports whether op is valid for the model family.
-func (m *Model) supports(op Op) bool {
-	if m.kind == kindMLP || m.kind == kindConv {
-		return op == OpPredict
-	}
-	return op == OpEncode || op == OpReconstruct
-}
+// supports reports whether op is valid for the model.
+func (m *Model) supports(op Op) bool { return op >= 0 && op < numOps && m.prefix[op] > 0 }
 
 // hostInfer answers one request on the calling goroutine with the scalar
-// host reference — the Degrade path. Bit-identical to the device path at
-// core.Baseline; toleranced (≈1e-12 relative) against the blocked levels,
-// which reorder the reduction. An op the model family does not implement
-// returns *UnsupportedOpError rather than falling through to a different
-// family's forward pass.
+// host reference. An op the model does not implement returns
+// *UnsupportedOpError rather than running another op's forward pass.
 func (m *Model) hostInfer(op Op, x []float64) ([]float64, error) {
 	if !m.supports(op) {
 		return nil, &UnsupportedOpError{Kind: m.Kind(), Op: op}
 	}
 	out := make([]float64, m.OutputDim(op))
-	switch m.kind {
-	case kindAE:
-		if op == OpEncode {
-			m.ae.Encode(x, out)
-		} else {
-			m.ae.Reconstruct(x, out, m.aeCfg.Tied)
-		}
-	case kindRBM:
-		if op == OpEncode {
-			m.rb.Encode(x, out)
-		} else {
-			m.rb.Reconstruct(x, out, m.rbmCfg.GaussianVisible)
-		}
-	case kindMLP:
-		copy(out, m.ml.PredictProbs(m.mlpCfg, x))
-	case kindConv:
-		copy(out, m.cv.PredictProbs(m.convCfg, x))
-	default:
-		return nil, &UnsupportedOpError{Kind: m.Kind(), Op: op}
-	}
+	m.host(op, x, out)
 	return out, nil
 }

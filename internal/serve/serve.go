@@ -11,19 +11,24 @@
 // Config.MaxBatch or when the oldest request has waited Config.MaxWait,
 // whichever comes first — the batching lever that CHAOS (Viebke et al.)
 // shows keeps many-core utilization high, applied to latency-bound
-// traffic. Flushed batches execute on a pool of device-bound workers,
-// each owning a private simulated device (device.Device is not safe for
-// concurrent use) with a forward-only model replica built by the model
-// packages' NewInference constructors, running the exact blas/kernels
-// forward path of training at any core OptLevel.
+// traffic.
+//
+// Every model compiles to one forward program (forward.go): an ordered
+// list of Dense, Conv and Pool nodes over a parameter table, of which
+// each op runs a prefix. Flushed batches execute on a pool of workers,
+// each running that program. An F64 worker owns a private simulated
+// device (device.Device is not safe for concurrent use) holding the
+// parameters, and issues the same blas kernels as training's forward pass
+// at any core OptLevel.
 //
 // At Config.Precision F32 the workers skip the simulated device and run
-// the reduced-precision host path instead: one float32 weight snapshot is
-// converted per model (lazily, shared read-only) and each worker executes
-// the packed f32 kernels with a private activation workspace. The request
-// and response surface stays []float64 — rounding happens at the staging
-// boundary — and answers differ from the f64 path only by float32
-// rounding, bounded by the cross-precision equivalence suite.
+// the program on the reduced-precision host loop instead: one float32
+// weight snapshot is converted per model (lazily, shared read-only) and
+// each worker executes the packed f32 kernels with a private activation
+// workspace. The request and response surface stays []float64 — rounding
+// happens at the staging boundary — and answers differ from the f64 path
+// only by float32 rounding, bounded by the cross-precision equivalence
+// suite.
 //
 // Admission is controlled by a bounded queue of Config.QueueDepth
 // not-yet-dispatched requests. When the queue is full the configured
@@ -416,6 +421,9 @@ type Server struct {
 func New(m *Model, cfg Config) (*Server, error) {
 	if m == nil {
 		return nil, errors.New("serve: nil model")
+	}
+	if m.invalid != nil {
+		return nil, m.invalid
 	}
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err

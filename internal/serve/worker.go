@@ -5,29 +5,23 @@ import (
 	"fmt"
 	"time"
 
-	"phideep/internal/autoencoder"
-	"phideep/internal/blas"
-	"phideep/internal/convnet"
 	"phideep/internal/core"
 	"phideep/internal/device"
-	"phideep/internal/mlp"
 	"phideep/internal/parallel"
-	"phideep/internal/rbm"
 	"phideep/internal/tensor"
 )
 
-// worker executes homogeneous request batches on one of two forward paths,
-// fixed at construction by Config.Precision:
+// worker executes homogeneous request batches through the model's forward
+// program on one of two loops, fixed at construction by Config.Precision:
 //
 //   - F64: a private simulated device (devices are not safe for concurrent
-//     use) with a forward-only model replica, the exact path training ran.
-//     When Config.Faults is armed, the device injects deterministic
+//     use) holding the program's parameters, the exact kernels training
+//     runs. When Config.Faults is armed, the device injects deterministic
 //     transfer faults from the worker's derived stream; staging uses the
 //     non-panicking TryCopyIn/TryCopyOut under retryTransfer.
-//   - F32: the reduced-precision host path — a float32 inference replica
-//     running the packed f32 kernels directly on the worker's pool, no
-//     device in the loop. Weights are the model's shared f32 snapshot;
-//     activations are private.
+//   - F32: the reduced-precision host loop on the packed f32 kernels and
+//     the worker's pool, no device in the loop. Weights are the model's
+//     shared f32 snapshot; activations are private.
 //
 // All workers share the server's immutable Model snapshot read-only. The
 // lifecycle fields (restarts, retired, cause) are owned by the worker's
@@ -42,24 +36,15 @@ type worker struct {
 	retired  bool
 	cause    error
 
-	ctx  *blas.Context
-	pool *parallel.Pool
-
-	ae *autoencoder.Model
-	rb *rbm.Model
-	ml *mlp.Model
-	cv *convnet.Model
-
-	ae32 *autoencoder.Inference32
-	rb32 *rbm.Inference32
-	ml32 *mlp.Inference32
-	cv32 *convnet.Inference32
+	pool  *parallel.Pool
+	fwd   *DeviceForward
+	fwd32 *hostForward
 
 	// x is the staging input buffer, MaxBatch×InputDim; partial batches
 	// compute on its [0,n) row view. stage is its host mirror — CopyIn
 	// transfers whole buffers, so short batches ride in with stale tail
 	// rows that the sliced forward pass never reads. stage32 plays the
-	// same staging role for the f32 path, with the float64→float32
+	// same staging role for the f32 loop, with the float64→float32
 	// rounding folded into the row copy.
 	x       *device.Buffer
 	stage   *tensor.Matrix
@@ -76,10 +61,10 @@ func newWorker(s *Server, i int) (*worker, error) {
 }
 
 // build constructs the worker's execution state: private pool (optional),
-// then either the device-resident f64 replica or the host-side f32
-// replica. The supervisor calls it again after teardown to rebuild a
-// faulted worker on a fresh device. Fault injection arms only after the
-// replica is built and staging is allocated: model upload happens on the
+// then either the device-resident f64 program or the host f32 one. The
+// supervisor calls it again after teardown to rebuild a faulted worker on
+// a fresh device. Fault injection arms only after the parameters are
+// uploaded and staging is allocated: model upload happens on the
 // panicking transfer path by design — provisioning is fenced off from
 // serving, as it would be in a real deployment.
 func (w *worker) build() error {
@@ -90,47 +75,19 @@ func (w *worker) build() error {
 	m := w.s.model
 
 	if cfg.Precision == F32 {
-		m.convert32()
-		lvl := cfg.Level.KernelLevel()
-		switch m.kind {
-		case kindAE:
-			w.ae32 = autoencoder.NewInference32(w.pool, lvl, m.aeCfg, cfg.MaxBatch, m.ae32)
-		case kindRBM:
-			w.rb32 = rbm.NewInference32(w.pool, lvl, m.rbmCfg, cfg.MaxBatch, m.rb32)
-		case kindMLP:
-			w.ml32 = mlp.NewInference32(w.pool, lvl, m.mlpCfg, cfg.MaxBatch, m.ml32)
-		case kindConv:
-			w.cv32 = convnet.NewInference32(w.pool, lvl, m.convCfg, cfg.MaxBatch, m.cv32)
-		default:
-			w.free()
-			return fmt.Errorf("serve: unknown model kind %d", int(m.kind))
-		}
+		w.fwd32 = newHostForward(m, w.pool, cfg.Level.KernelLevel(), cfg.MaxBatch)
 		w.stage32 = tensor.NewMatrix32(cfg.MaxBatch, m.InputDim())
 		return nil
 	}
 
 	dev := device.New(cfg.Arch, true, w.pool)
-	w.ctx = core.NewContext(dev, cfg.Level, cfg.Cores, cfg.Seed+uint64(w.slot))
-
+	ctx := core.NewContext(dev, cfg.Level, cfg.Cores, cfg.Seed+uint64(w.slot))
 	var err error
-	switch m.kind {
-	case kindAE:
-		w.ae, err = autoencoder.NewInference(w.ctx, m.aeCfg, cfg.MaxBatch, m.ae)
-	case kindRBM:
-		w.rb, err = rbm.NewInference(w.ctx, m.rbmCfg, cfg.MaxBatch, m.rb)
-	case kindMLP:
-		w.ml, err = mlp.NewInference(w.ctx, m.mlpCfg, cfg.MaxBatch, m.ml)
-	case kindConv:
-		w.cv, err = convnet.NewInference(w.ctx, m.convCfg, cfg.MaxBatch, m.cv)
-	default:
-		err = fmt.Errorf("serve: unknown model kind %d", int(m.kind))
-	}
-	if err != nil {
+	if w.fwd, err = NewDeviceForward(ctx, m, cfg.MaxBatch); err != nil {
 		w.free()
 		return err
 	}
-	w.x, err = dev.Alloc(cfg.MaxBatch, m.InputDim())
-	if err != nil {
+	if w.x, err = dev.Alloc(cfg.MaxBatch, m.InputDim()); err != nil {
 		w.free()
 		return err
 	}
@@ -183,7 +140,7 @@ func (w *worker) runSafe(batch []*request) (err error) {
 			err = fmt.Errorf("serve: worker panic: %v", p)
 		}
 	}()
-	if w.stage32 != nil {
+	if w.fwd32 != nil {
 		w.run32(batch)
 		return nil
 	}
@@ -203,7 +160,7 @@ func (w *worker) run(batch []*request) error {
 	for i, r := range batch {
 		copy(w.stage.RowView(i), r.in)
 	}
-	dev := w.ctx.Dev
+	dev := w.fwd.ctx.Dev
 	if err := w.retryTransfer(func() error {
 		_, err := dev.TryCopyIn(w.x, w.stage, 0)
 		return err
@@ -215,25 +172,7 @@ func (w *worker) run(batch []*request) error {
 		xv = w.x.Slice(0, n)
 	}
 
-	var out *device.Buffer
-	switch {
-	case w.ae != nil:
-		if op == OpEncode {
-			out = w.ae.Encode(xv)
-		} else {
-			out = w.ae.Reconstruct(xv)
-		}
-	case w.rb != nil:
-		if op == OpEncode {
-			out = w.rb.Encode(xv)
-		} else {
-			out = w.rb.Reconstruct(xv)
-		}
-	case w.cv != nil:
-		out = w.cv.Infer(xv)
-	default:
-		out = w.ml.Infer(xv)
-	}
+	out := w.fwd.run(xv, w.s.model.prefix[op])
 
 	res := tensor.NewMatrix(n, out.Cols)
 	if err := w.retryTransfer(func() error {
@@ -280,25 +219,7 @@ func (w *worker) run32(batch []*request) {
 	}
 	xv := w.stage32.RowsView(0, n)
 
-	var out *tensor.Matrix32
-	switch {
-	case w.ae32 != nil:
-		if op == OpEncode {
-			out = w.ae32.Encode(xv)
-		} else {
-			out = w.ae32.Reconstruct(xv)
-		}
-	case w.rb32 != nil:
-		if op == OpEncode {
-			out = w.rb32.Encode(xv)
-		} else {
-			out = w.rb32.Reconstruct(xv)
-		}
-	case w.cv32 != nil:
-		out = w.cv32.Infer(xv)
-	default:
-		out = w.ml32.Infer(xv)
-	}
+	out := w.fwd32.run(xv, w.s.model.prefix[op])
 
 	now := time.Now()
 	for i, r := range batch {
@@ -317,30 +238,18 @@ func (w *worker) complete64(batch []*request, res *tensor.Matrix) {
 	}
 }
 
-// free releases the worker's device resources and pool. The f32 path holds
-// no device; its replicas are plain host memory.
+// free releases the worker's device resources and pool. The f32 loop
+// holds no device; its workspaces are plain host memory.
 func (w *worker) free() {
-	if w.ae != nil {
-		w.ae.Free()
-		w.ae = nil
+	if w.fwd != nil {
+		if w.x != nil {
+			w.fwd.ctx.Dev.Free(w.x)
+			w.x = nil
+		}
+		w.fwd.Free()
+		w.fwd = nil
 	}
-	if w.rb != nil {
-		w.rb.Free()
-		w.rb = nil
-	}
-	if w.ml != nil {
-		w.ml.Free()
-		w.ml = nil
-	}
-	if w.cv != nil {
-		w.cv.Free()
-		w.cv = nil
-	}
-	if w.x != nil {
-		w.ctx.Dev.Free(w.x)
-		w.x = nil
-	}
-	w.ae32, w.rb32, w.ml32, w.cv32 = nil, nil, nil, nil
+	w.fwd32 = nil
 	if w.pool != nil {
 		w.pool.Close()
 		w.pool = nil

@@ -102,10 +102,6 @@ type (
 	// (Trainer.RunLabeled): one StepLabeled per minibatch with one-hot
 	// targets staged alongside the examples.
 	LabeledTrainable = core.LabeledTrainable
-	// LabeledSource is a Source whose examples carry integer class labels.
-	//
-	// Deprecated: use Labeled; this alias remains for existing callers.
-	LabeledSource = core.LabeledSource
 	// DeviceStats is a snapshot of device activity counters.
 	DeviceStats = device.Stats
 	// FaultConfig parameterizes the device's injectable PCIe fault model
@@ -137,8 +133,7 @@ type (
 	// Source streams training examples by index.
 	Source = data.Source
 	// Labeled is a Source whose examples carry integer class labels
-	// (Digits implements it) — the canonical name for what the trainer
-	// historically called core.LabeledSource.
+	// (Digits implements it).
 	Labeled = data.Labeled
 	// ChunkPlan is the validated chunk geometry shared by the trainer, the
 	// cluster, and the feed: batch size, chunk size, source length.
@@ -252,6 +247,9 @@ type (
 	// parameters ready to serve; build one with ServeAutoencoder,
 	// ServeRBM, ServeMLP or the *FromCheckpoint loaders.
 	ServeModel = serve.Model
+	// DeviceForward is a served model's forward program resident on one
+	// device (see NewConvnetInference).
+	DeviceForward = serve.DeviceForward
 	// ServePolicy selects the full-queue behavior (ServeBlock, ServeShed,
 	// ServeDegrade).
 	ServePolicy = serve.Policy
@@ -434,17 +432,6 @@ func NewMachine(arch *Arch, opts ...MachineOption) *Machine {
 	return &Machine{Dev: device.New(arch, o.numeric, pool), pool: pool}
 }
 
-// NewMachineAt creates a device with the pre-option positional arguments.
-//
-// Deprecated: use NewMachine with WithNumeric and WithWorkers options.
-func NewMachineAt(arch *Arch, numeric bool, workers int) *Machine {
-	opts := []MachineOption{WithWorkers(workers)}
-	if numeric {
-		opts = append(opts, WithNumeric())
-	}
-	return NewMachine(arch, opts...)
-}
-
 // Close stops the machine's worker pool. The device must not execute
 // numeric kernels afterwards.
 func (m *Machine) Close() {
@@ -466,28 +453,9 @@ func BuildAutoencoder(ctx *Context, cfg AutoencoderConfig) (*Autoencoder, error)
 	return autoencoder.Build(ctx, cfg)
 }
 
-// NewAutoencoder allocates a Sparse Autoencoder for the given batch size on
-// the context's device, initialized from seed.
-//
-// Deprecated: use BuildAutoencoder with AutoencoderConfig.Batch and
-// AutoencoderConfig.Seed set.
-func NewAutoencoder(ctx *Context, cfg AutoencoderConfig, batch int, seed uint64) (*Autoencoder, error) {
-	cfg.Batch, cfg.Seed = batch, seed
-	return autoencoder.Build(ctx, cfg)
-}
-
 // BuildRBM allocates a Restricted Boltzmann Machine on the context's
 // device for cfg.Batch examples, initialized from cfg.Seed.
 func BuildRBM(ctx *Context, cfg RBMConfig) (*RBM, error) {
-	return rbm.Build(ctx, cfg)
-}
-
-// NewRBM allocates a Restricted Boltzmann Machine for the given batch size
-// on the context's device, initialized from seed.
-//
-// Deprecated: use BuildRBM with RBMConfig.Batch and RBMConfig.Seed set.
-func NewRBM(ctx *Context, cfg RBMConfig, batch int, seed uint64) (*RBM, error) {
-	cfg.Batch, cfg.Seed = batch, seed
 	return rbm.Build(ctx, cfg)
 }
 
@@ -498,46 +466,19 @@ func BuildMLP(ctx *Context, cfg MLPConfig) (*MLP, error) {
 	return mlp.Build(ctx, cfg)
 }
 
-// NewMLP allocates a deep softmax classifier for supervised fine-tuning.
-//
-// Deprecated: use BuildMLP with MLPConfig.Batch and MLPConfig.Seed set.
-func NewMLP(ctx *Context, cfg MLPConfig, batch int, seed uint64) (*MLP, error) {
-	cfg.Batch, cfg.Seed = batch, seed
-	return mlp.Build(ctx, cfg)
-}
-
-// NewAutoencoderInference allocates a forward-only Sparse Autoencoder for
-// up to batch examples: Encode/Reconstruct work (and allocate no gradient
-// buffers), the training entry points panic. p supplies the weights (nil
-// initializes from cfg.Seed).
-func NewAutoencoderInference(ctx *Context, cfg AutoencoderConfig, batch int, p *AutoencoderParams) (*Autoencoder, error) {
-	return autoencoder.NewInference(ctx, cfg, batch, p)
-}
-
-// NewRBMInference allocates a forward-only RBM (deterministic mean-field
-// Encode/Reconstruct, no gradient or chain workspace).
-func NewRBMInference(ctx *Context, cfg RBMConfig, batch int, p *RBMParams) (*RBM, error) {
-	return rbm.NewInference(ctx, cfg, batch, p)
-}
-
-// NewMLPInference allocates a forward-only classifier (batched Infer, no
-// gradient workspace).
-func NewMLPInference(ctx *Context, cfg MLPConfig, batch int, p *MLPParams) (*MLP, error) {
-	return mlp.NewInference(ctx, cfg, batch, p)
-}
-
 // BuildConvnet allocates a convolutional classifier on the context's
 // device for cfg.Batch examples, initialized from cfg.Seed. Train it
-// supervised with (*Trainer).RunLabeled on a LabeledSource such as Digits.
+// supervised with (*Trainer).RunLabeled on a Labeled source such as Digits.
 func BuildConvnet(ctx *Context, cfg ConvnetConfig) (*Convnet, error) {
 	return convnet.Build(ctx, cfg)
 }
 
-// NewConvnetInference allocates a forward-only convnet (batched Infer, no
-// gradient workspace). p supplies the weights (nil initializes from
-// cfg.Seed).
-func NewConvnetInference(ctx *Context, cfg ConvnetConfig, batch int, p *ConvnetParams) (*Convnet, error) {
-	return convnet.NewInference(ctx, cfg, batch, p)
+// NewConvnetInference uploads a convnet's serving forward program to the
+// context's device for up to batch examples: Infer runs it on 1..batch
+// rows, exactly as a ServeConvnet server's f64 workers do. p supplies the
+// weights (nil initializes from cfg.Seed).
+func NewConvnetInference(ctx *Context, cfg ConvnetConfig, batch int, p *ConvnetParams) (*DeviceForward, error) {
+	return serve.NewDeviceForward(ctx, serve.Convnet(cfg, p), batch)
 }
 
 // OneHot fills dst (len(labels)×classes) with one-hot target rows.
@@ -547,15 +488,6 @@ func OneHot(labels []int, dst *Matrix) { kernels.OneHot(labels, dst) }
 // pair (§VI future work), both replicas initialized from cfg.Seed. phiCtx
 // must be bound to a device with a PCIe link.
 func BuildHybridAE(phiCtx, hostCtx *Context, cfg HybridAEConfig) (*HybridAE, error) {
-	return hybrid.BuildAE(phiCtx, hostCtx, cfg)
-}
-
-// NewHybridAE builds a host+coprocessor data-parallel Sparse Autoencoder
-// pair.
-//
-// Deprecated: use BuildHybridAE with HybridAEConfig.Seed set.
-func NewHybridAE(phiCtx, hostCtx *Context, cfg HybridAEConfig, seed uint64) (*HybridAE, error) {
-	cfg.Seed = seed
 	return hybrid.BuildAE(phiCtx, hostCtx, cfg)
 }
 
