@@ -24,6 +24,9 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+# perfbench/ is its own Go module, so the lines above never compile it; a
+# facade or metrics change that breaks the benchmark must fail here.
+(cd perfbench && go vet ./... && go test ./...)
 # Test order must not matter: shuffle every package's tests so one test's
 # leftover global state (the metrics registry, process-wide toggles) can
 # never be what another test's pass depends on.

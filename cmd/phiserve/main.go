@@ -141,7 +141,7 @@ func main() {
 	flag.IntVar(&o.pool, "pool-workers", 0, "Go pool size behind each device's parallel kernels (0 = run inline)")
 	flag.IntVar(&o.maxBatch, "max-batch", 16, "micro-batch coalescing limit")
 	flag.DurationVar(&o.maxWait, "max-wait", time.Millisecond, "micro-batch flush deadline")
-	flag.BoolVar(&o.adaptive, "adaptive", false, "enable the online batching controller (max-batch/max-wait become ceilings; adjustments visible as serve.tune.* metrics)")
+	flag.BoolVar(&o.adaptive, "adaptive", false, "enable the online batching controller (max-batch/max-wait become ceilings; knobs and adjustments reported in the batcher stats)")
 	flag.IntVar(&o.queue, "queue-depth", 0, "admission bound on queued requests (0 = 4x max-batch)")
 	flag.StringVar(&o.policy, "policy", "block", "full-queue policy: block | shed | degrade")
 	flag.StringVar(&o.precision, "precision", "f64", "forward-path numeric width: f64 (device path) | f32 (packed SIMD host kernels)")

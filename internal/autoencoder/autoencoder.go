@@ -172,12 +172,12 @@ func (m *Model) Free() {
 // weights the decoder matrix p.W2 is ignored.
 func (m *Model) Upload(p *Params) {
 	dev := m.Ctx.Dev
-	dev.CopyIn(m.W1, hostOrNil(dev, p.W1), 0)
-	dev.CopyIn(m.B1, hostOrNil(dev, p.B1.AsRow()), 0)
+	dev.CopyIn(m.W1, p.W1, 0)
+	dev.CopyIn(m.B1, p.B1.AsRow(), 0)
 	if !m.Cfg.Tied {
-		dev.CopyIn(m.W2, hostOrNil(dev, p.W2), 0)
+		dev.CopyIn(m.W2, p.W2, 0)
 	}
-	dev.CopyIn(m.B2, hostOrNil(dev, p.B2.AsRow()), 0)
+	dev.CopyIn(m.B2, p.B2.AsRow(), 0)
 }
 
 // Download copies the device parameters back to the host. On a model-only
@@ -190,24 +190,17 @@ func (m *Model) Download() *Params {
 		B2: tensor.NewVector(m.Cfg.Visible),
 	}
 	dev := m.Ctx.Dev
-	dev.CopyOut(m.W1, hostOrNil(dev, p.W1))
-	dev.CopyOut(m.B1, hostOrNil(dev, p.B1.AsRow()))
+	dev.CopyOut(m.W1, p.W1)
+	dev.CopyOut(m.B1, p.B1.AsRow())
 	if m.Cfg.Tied {
 		if dev.Numeric {
 			p.W2 = p.W1.T()
 		}
 	} else {
-		dev.CopyOut(m.W2, hostOrNil(dev, p.W2))
+		dev.CopyOut(m.W2, p.W2)
 	}
-	dev.CopyOut(m.B2, hostOrNil(dev, p.B2.AsRow()))
+	dev.CopyOut(m.B2, p.B2.AsRow())
 	return p
-}
-
-func hostOrNil(dev *device.Device, m *tensor.Matrix) *tensor.Matrix {
-	if dev.Numeric {
-		return m
-	}
-	return nil
 }
 
 // Forward runs the batched forward pass y = σ(x·W1+b1), z = σ(y·W2+b2).

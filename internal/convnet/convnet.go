@@ -17,7 +17,6 @@ import (
 	"phideep/internal/blas"
 	"phideep/internal/device"
 	"phideep/internal/kernels"
-	"phideep/internal/tensor"
 )
 
 // Config describes the LeNet-style network. The input is a Side×Side
@@ -229,34 +228,27 @@ func (m *Model) Free() {
 	free(m.d3, m.dpl2, m.da2, m.dcols2, m.dpl1, m.da1)
 }
 
-func hostOrNil(dev *device.Device, m *tensor.Matrix) *tensor.Matrix {
-	if dev.Numeric {
-		return m
-	}
-	return nil
-}
-
 // Upload transfers host parameters onto the device.
 func (m *Model) Upload(p *Params) {
 	dev := m.Ctx.Dev
-	dev.CopyIn(m.W[0], hostOrNil(dev, p.Conv1.W), 0)
-	dev.CopyIn(m.B[0], hostOrNil(dev, p.Conv1.B.AsRow()), 0)
-	dev.CopyIn(m.W[1], hostOrNil(dev, p.Conv2.W), 0)
-	dev.CopyIn(m.B[1], hostOrNil(dev, p.Conv2.B.AsRow()), 0)
-	dev.CopyIn(m.W[2], hostOrNil(dev, p.W3), 0)
-	dev.CopyIn(m.B[2], hostOrNil(dev, p.B3.AsRow()), 0)
+	dev.CopyIn(m.W[0], p.Conv1.W, 0)
+	dev.CopyIn(m.B[0], p.Conv1.B.AsRow(), 0)
+	dev.CopyIn(m.W[1], p.Conv2.W, 0)
+	dev.CopyIn(m.B[1], p.Conv2.B.AsRow(), 0)
+	dev.CopyIn(m.W[2], p.W3, 0)
+	dev.CopyIn(m.B[2], p.B3.AsRow(), 0)
 }
 
 // Download copies the device parameters back to the host.
 func (m *Model) Download() *Params {
 	p := zeroParams(m.Cfg)
 	dev := m.Ctx.Dev
-	dev.CopyOut(m.W[0], hostOrNil(dev, p.Conv1.W))
-	dev.CopyOut(m.B[0], hostOrNil(dev, p.Conv1.B.AsRow()))
-	dev.CopyOut(m.W[1], hostOrNil(dev, p.Conv2.W))
-	dev.CopyOut(m.B[1], hostOrNil(dev, p.Conv2.B.AsRow()))
-	dev.CopyOut(m.W[2], hostOrNil(dev, p.W3))
-	dev.CopyOut(m.B[2], hostOrNil(dev, p.B3.AsRow()))
+	dev.CopyOut(m.W[0], p.Conv1.W)
+	dev.CopyOut(m.B[0], p.Conv1.B.AsRow())
+	dev.CopyOut(m.W[1], p.Conv2.W)
+	dev.CopyOut(m.B[1], p.Conv2.B.AsRow())
+	dev.CopyOut(m.W[2], p.W3)
+	dev.CopyOut(m.B[2], p.B3.AsRow())
 	return p
 }
 

@@ -68,11 +68,12 @@ type Device struct {
 	allocated int64
 	peakAlloc int64
 
-	// Stats.
-	ops       int
+	// Stats. launches and moved count in instance handles that roll up
+	// into device.kernel.launches and device.bytes_moved (metrics.go).
+	launches  *metrics.LocalCounter
+	moved     *metrics.LocalCounter
 	transfers int
 	flops     float64
-	moved     int64
 
 	// trace records per-activity events when enabled via EnableTrace.
 	trace *traceBuffer
@@ -91,6 +92,8 @@ func New(arch *sim.Arch, numeric bool, pool *parallel.Pool) *Device {
 		Pool:     pool,
 		compute:  sim.Timeline{Name: "compute"},
 		transfer: sim.Timeline{Name: "transfer"},
+		launches: mLaunches.Local(),
+		moved:    mBytesMoved.Local(),
 	}
 }
 
@@ -228,30 +231,20 @@ func (d *Device) scheduleTransfer(op string, bytes int64, earliest float64) (end
 		if !fault {
 			return end, nil
 		}
-		if metrics.Enabled() {
-			mFaults.Inc()
-		}
 		if permanent {
-			f.permanent++
-			f.failed++
-			if metrics.Enabled() {
-				mFailedTransfers.Inc()
-			}
+			f.permanent.Inc()
+			f.failed.Inc()
 			return end, &TransferError{Op: op, Bytes: bytes, Attempts: attempt, Permanent: true}
 		}
-		f.transient++
+		f.transient.Inc()
 		if attempt > f.config().MaxRetries {
-			f.failed++
-			if metrics.Enabled() {
-				mFailedTransfers.Inc()
-			}
+			f.failed.Inc()
 			return end, &TransferError{Op: op, Bytes: bytes, Attempts: attempt}
 		}
 		backoff := f.config().backoff(attempt - 1)
 		d.transfer.Stall(backoff)
-		f.retries++
+		f.retries.Inc()
 		if metrics.Enabled() {
-			mRetries.Inc()
 			mSimBackoff.Add(backoff)
 		}
 		earliest = 0 // the stall already pushed the engine's free time out
@@ -260,10 +253,11 @@ func (d *Device) scheduleTransfer(op string, bytes int64, earliest float64) (end
 
 // CopyIn schedules a host→device transfer of host into b on the transfer
 // engine, no earlier than simulated time earliest (0 for "as soon as the
-// link is free" — the prefetching loading thread of Fig. 5). host may be
-// nil in model-only mode. It returns the transfer's completion time, which
-// also becomes the buffer's ready time. When the fault model abandons the
-// transfer CopyIn panics; callers that degrade gracefully use TryCopyIn.
+// link is free" — the prefetching loading thread of Fig. 5). A model-only
+// device ignores host, which may then be nil. It returns the transfer's
+// completion time, which also becomes the buffer's ready time. When the
+// fault model abandons the transfer CopyIn panics; callers that degrade
+// gracefully use TryCopyIn.
 func (d *Device) CopyIn(b *Buffer, host *tensor.Matrix, earliest float64) float64 {
 	end, err := d.TryCopyIn(b, host, earliest)
 	if err != nil {
@@ -306,21 +300,20 @@ func (d *Device) TryCopyIn(b *Buffer, host *tensor.Matrix, earliest float64) (fl
 		}
 	}
 	b.readyAt = end
-	d.moved += b.bytes
+	d.moved.Add(b.bytes)
 	if metrics.Enabled() {
 		mTransfers.Inc()
-		mBytesMoved.Add(b.bytes)
 	}
 	return end, nil
 }
 
 // CopyOut schedules a device→host transfer of b into host (shapes must
-// match; host may be nil in model-only mode) and returns its completion
-// time. The transfer starts only after both the buffer's contents are ready
-// and the compute engine has issued everything that produces them. Slice
-// views copy out their own rows, charging the view's byte span. When the
-// fault model abandons the transfer CopyOut panics; callers that degrade
-// gracefully use TryCopyOut.
+// match; a model-only device ignores host, which may then be nil) and
+// returns its completion time. The transfer starts only after both the
+// buffer's contents are ready and the compute engine has issued everything
+// that produces them. Slice views copy out their own rows, charging the
+// view's byte span. When the fault model abandons the transfer CopyOut
+// panics; callers that degrade gracefully use TryCopyOut.
 func (d *Device) CopyOut(b *Buffer, host *tensor.Matrix) float64 {
 	end, err := d.TryCopyOut(b, host)
 	if err != nil {
@@ -361,10 +354,9 @@ func (d *Device) TryCopyOut(b *Buffer, host *tensor.Matrix) (float64, error) {
 			host.CopyFrom(b.Mat)
 		}
 	}
-	d.moved += b.bytes
+	d.moved.Add(b.bytes)
 	if metrics.Enabled() {
 		mTransfers.Inc()
-		mBytesMoved.Add(b.bytes)
 	}
 	return end, nil
 }
@@ -397,10 +389,9 @@ func (d *Device) Exec(op sim.Op, deps []*Buffer, writes []*Buffer, fn func()) {
 		}
 		b.readyAt = end
 	}
-	d.ops++
+	d.launches.Inc()
 	d.flops += op.Flops()
 	if metrics.Enabled() {
-		mLaunches.Inc()
 		mSimCompute.Add(dur)
 	}
 	if d.trace != nil {
@@ -508,10 +499,9 @@ func (d *Device) ExecConcurrent(branches []Branch) {
 		// One fork/join for the whole group.
 		op.Fused = i > 0
 		durs[i] = d.Arch.OpTime(op)
-		d.ops++
+		d.launches.Inc()
 		d.flops += op.Flops()
 		if metrics.Enabled() {
-			mLaunches.Inc()
 			mSimCompute.Add(durs[i])
 		}
 	}
@@ -605,10 +595,10 @@ type Stats struct {
 // Stats returns a snapshot of the device's activity counters.
 func (d *Device) Stats() Stats {
 	s := Stats{
-		Ops:            d.ops,
+		Ops:            int(d.launches.Value()),
 		Transfers:      d.transfers,
 		Flops:          d.flops,
-		BytesMoved:     d.moved,
+		BytesMoved:     d.moved.Value(),
 		ComputeBusy:    d.compute.BusyTotal(),
 		TransferBusy:   d.transfer.BusyTotal(),
 		Makespan:       d.Now(),
@@ -619,10 +609,10 @@ func (d *Device) Stats() Stats {
 		ComputeStallSeconds: d.compute.StallTotal(),
 	}
 	if f := d.faults; f != nil {
-		s.FaultsTransient = f.transient
-		s.FaultsPermanent = f.permanent
-		s.Retries = f.retries
-		s.FailedTransfers = f.failed
+		s.FaultsTransient = int(f.transient.Value())
+		s.FaultsPermanent = int(f.permanent.Value())
+		s.Retries = int(f.retries.Value())
+		s.FailedTransfers = int(f.failed.Value())
 	}
 	return s
 }
@@ -630,14 +620,19 @@ func (d *Device) Stats() Stats {
 // ResetTime rewinds both engines and the activity counters to zero while
 // keeping allocations; buffers' ready times are stale afterwards, so only
 // call this between independent runs that rewrite their inputs. The fault
-// stream is *not* rewound — successive runs see fresh faults.
+// stream is *not* rewound — successive runs see fresh faults — and neither
+// are the registry series the counters roll up into.
 func (d *Device) ResetTime() {
 	d.compute.Reset()
 	d.transfer.Reset()
-	d.ops, d.transfers = 0, 0
-	d.flops, d.moved = 0, 0
+	d.launches.Reset()
+	d.moved.Reset()
+	d.transfers, d.flops = 0, 0
 	if f := d.faults; f != nil {
-		f.transient, f.permanent, f.retries, f.failed = 0, 0, 0, 0
+		f.transient.Reset()
+		f.permanent.Reset()
+		f.retries.Reset()
+		f.failed.Reset()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"phideep/internal/metrics"
 	"phideep/internal/rng"
 )
 
@@ -138,14 +139,12 @@ func (d *Device) FaultsArmed() bool {
 }
 
 // faultState is the device-side fault injector: the deterministic fault
-// stream and the accumulated counters.
+// stream and the accumulated counters. Transient and permanent faults both
+// roll up into device.transfer.faults.
 type faultState struct {
 	stream *FaultStream
 
-	transient int
-	permanent int
-	retries   int
-	failed    int
+	transient, permanent, retries, failed *metrics.LocalCounter
 }
 
 // draw decides the fate of one transfer attempt.
@@ -167,7 +166,9 @@ func (d *Device) EnableFaults(cfg FaultConfig) error {
 	if err != nil {
 		return err
 	}
-	d.faults = &faultState{stream: stream}
+	d.faults = &faultState{stream: stream,
+		transient: mFaults.Local(), permanent: mFaults.Local(),
+		retries: mRetries.Local(), failed: mFailedTransfers.Local()}
 	return nil
 }
 

@@ -7,8 +7,14 @@ import "phideep/internal/metrics"
 // reproduction; these metrics add the *real* host clock next to them —
 // device.sim.* accumulates modeled seconds as charged by the cost model,
 // device.wall.* accumulates measured Go execution seconds of the same
-// work — so one snapshot compares the two. Recording happens per kernel
-// launch / transfer and only while metrics.Enabled() holds.
+// work — so one snapshot compares the two.
+//
+// Events a Device also reports in Stats — launches, bytes moved, faults,
+// retries, failed transfers — count once, in per-device instance handles
+// (Local) that roll up into these series while metrics.Enabled() holds.
+// The rest record per launch / transfer only while collection is on.
+// device.transfers counts completed transfers, unlike Stats.Transfers,
+// which also counts abandoned ones.
 var (
 	mLaunches   = metrics.Default().Counter("device.kernel.launches")
 	mTransfers  = metrics.Default().Counter("device.transfers")
@@ -20,9 +26,10 @@ var (
 	mWallCompute  = metrics.Default().FloatCounter("device.wall.compute_seconds")
 	mWallTransfer = metrics.Default().FloatCounter("device.wall.transfer_seconds")
 
-	// Fault-model counters: injected faults, retry attempts, transfers
-	// abandoned after exhausting their budget, and the simulated backoff
-	// stalled onto the transfer engine while waiting to retry.
+	// Fault-model counters: injected faults (transient and permanent),
+	// retry attempts, transfers abandoned after exhausting their budget,
+	// and the simulated backoff stalled onto the transfer engine while
+	// waiting to retry.
 	mFaults          = metrics.Default().Counter("device.transfer.faults")
 	mRetries         = metrics.Default().Counter("device.transfer.retries")
 	mFailedTransfers = metrics.Default().Counter("device.transfer.failed")

@@ -152,7 +152,11 @@ type Feed struct {
 
 	consumers []*Consumer
 	events    []Event
-	stats     Stats
+	// stats holds the occupancy and abort counters; the protocol events
+	// below count in instance handles (metrics.go).
+	stats Stats
+
+	leases, commits, skips, stalls, seeks *metrics.LocalCounter
 }
 
 // New builds a feed over src. cfg.Plan must validate and match the
@@ -170,7 +174,9 @@ func New(src data.Source, cfg Config) (*Feed, error) {
 	if cfg.Window == 0 {
 		cfg.Window = 2
 	}
-	return &Feed{src: src, cfg: cfg, window: cfg.Window}, nil
+	return &Feed{src: src, cfg: cfg, window: cfg.Window,
+		leases: mLeases.Local(), commits: mCommits.Local(), skips: mSkips.Local(),
+		stalls: mStalls.Local(), seeks: mSeeks.Local()}, nil
 }
 
 // NewLabeled builds a feed whose chunks carry labels (FillLabels works).
@@ -214,9 +220,6 @@ func (f *Feed) Subscribe(name string) (*Consumer, error) {
 	f.consumers = append(f.consumers, c)
 	f.stats.Consumers++
 	f.record(Event{Kind: EvSubscribe, Shard: c.shard})
-	if metrics.Enabled() {
-		mConsumers.Set(float64(f.stats.Consumers))
-	}
 	return c, nil
 }
 
@@ -226,6 +229,11 @@ func (f *Feed) Stats() Stats {
 	defer f.mu.Unlock()
 	s := f.stats
 	s.Shards = f.shards
+	s.Leases = int(f.leases.Value())
+	s.Commits = int(f.commits.Value())
+	s.Skips = int(f.skips.Value())
+	s.Stalls = int(f.stalls.Value())
+	s.Seeks = int(f.seeks.Value())
 	return s
 }
 
@@ -421,7 +429,7 @@ func (c *Consumer) Lease() (Lease, error) {
 	}
 	c.pos++
 	c.outstanding = append(c.outstanding, l)
-	f.stats.Leases++
+	f.leases.Inc()
 	f.stats.Outstanding++
 	if f.stats.Outstanding > f.stats.MaxOutstanding {
 		f.stats.MaxOutstanding = f.stats.Outstanding
@@ -432,16 +440,9 @@ func (c *Consumer) Lease() (Lease, error) {
 		// than the ingest window. Soft by design — granting anyway keeps
 		// lockstep simulations deadlock-free — but every such lease is
 		// ledgered and counted.
-		f.stats.Stalls++
+		f.stalls.Inc()
 		f.record(Event{Kind: EvStall, Shard: c.shard, Seq: seq,
 			Reason: fmt.Sprintf("lag %d >= ahead %d", seq-low, f.ingestAhead)})
-		if metrics.Enabled() {
-			mStalls.Inc()
-		}
-	}
-	if metrics.Enabled() {
-		mLeases.Inc()
-		mOccupancy.Set(float64(f.stats.Outstanding))
 	}
 	return l, nil
 }
@@ -460,19 +461,12 @@ func (c *Consumer) Commit(l Lease, at float64, skipped bool) error {
 	for i, o := range c.outstanding {
 		if o.Seq == l.Seq {
 			c.outstanding = append(c.outstanding[:i], c.outstanding[i+1:]...)
-			f.stats.Commits++
+			f.commits.Inc()
 			f.stats.Outstanding--
 			if skipped {
-				f.stats.Skips++
-				if metrics.Enabled() {
-					mSkips.Inc()
-				}
+				f.skips.Inc()
 			}
 			f.record(Event{Kind: EvCommit, Shard: c.shard, Seq: l.Seq, At: at, Skipped: skipped})
-			if metrics.Enabled() {
-				mCommits.Inc()
-				mOccupancy.Set(float64(f.stats.Outstanding))
-			}
 			return nil
 		}
 	}
@@ -494,12 +488,8 @@ func (c *Consumer) Seek(ordinal int) error {
 	}
 	c.abort()
 	c.pos = ordinal
-	f.stats.Seeks++
+	f.seeks.Inc()
 	f.record(Event{Kind: EvSeek, Shard: c.shard, Seq: ordinal*max(f.shards, 1) + c.shard})
-	if metrics.Enabled() {
-		mSeeks.Inc()
-		mOccupancy.Set(float64(f.stats.Outstanding))
-	}
 	return nil
 }
 
@@ -517,10 +507,6 @@ func (c *Consumer) Close() {
 	c.closed = true
 	f.stats.Consumers--
 	f.record(Event{Kind: EvClose, Shard: c.shard})
-	if metrics.Enabled() {
-		mConsumers.Set(float64(f.stats.Consumers))
-		mOccupancy.Set(float64(f.stats.Outstanding))
-	}
 }
 
 // abort drops the consumer's outstanding leases. Callers hold f.mu.

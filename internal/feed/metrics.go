@@ -2,20 +2,15 @@ package feed
 
 import "phideep/internal/metrics"
 
-// Data-plane observability handles (DESIGN.md §"Observability"): protocol
-// counters for the lease/commit stream and gauges for its live occupancy.
-// Recorded only while metrics.Enabled() holds; the per-Feed Stats snapshot
-// is always maintained regardless.
+// Data-plane observability (DESIGN.md §"Observability"). Each Feed counts
+// its protocol events once, in one instance handle per event: the handles
+// back Stats and roll up into these feed.* registry series while
+// metrics.Enabled() holds. Occupancy and the consumer count belong to one
+// feed, so they are reported in Stats only.
 var (
 	mLeases  = metrics.Default().Counter("feed.leases")
 	mCommits = metrics.Default().Counter("feed.commits")
 	mSkips   = metrics.Default().Counter("feed.skips")
 	mStalls  = metrics.Default().Counter("feed.stalls")
 	mSeeks   = metrics.Default().Counter("feed.seeks")
-
-	// mOccupancy is the current number of uncommitted leases across all
-	// consumers of all feeds in the process; mConsumers the open
-	// subscriber count.
-	mOccupancy = metrics.Default().Gauge("feed.window.occupancy")
-	mConsumers = metrics.Default().Gauge("feed.consumers")
 )

@@ -33,6 +33,15 @@
 //		...
 //	}
 //
+// A component that also reports its own counts (a server's, a feed's or a
+// device's Stats) takes an instance handle per event instead, and records
+// through it unguarded — the handle keeps the instance value and rolls up
+// into the registry series only while collection is enabled (local.go):
+//
+//	leases := metrics.Default().Counter("feed.leases").Local()
+//	leases.Inc()          // one statement per event
+//	n := leases.Value()   // this instance's count, collection on or off
+//
 // Front-ends call SetEnabled(true), run the workload, and export
 // Default().Snapshot() as JSON (phitrain -metrics out.json) or as an
 // aligned text table (the end-of-run summary).

@@ -14,7 +14,6 @@ import (
 	"phideep/internal/blas"
 	"phideep/internal/device"
 	"phideep/internal/stack"
-	"phideep/internal/tensor"
 )
 
 // Config describes the network: Sizes[0] inputs, sigmoid hidden layers,
@@ -143,8 +142,8 @@ func (m *Model) Free() {
 func (m *Model) Upload(p *Params) {
 	dev := m.Ctx.Dev
 	for l := range m.W {
-		dev.CopyIn(m.W[l], hostOrNil(dev, p.W[l]), 0)
-		dev.CopyIn(m.B[l], hostOrNil(dev, p.B[l].AsRow()), 0)
+		dev.CopyIn(m.W[l], p.W[l], 0)
+		dev.CopyIn(m.B[l], p.B[l].AsRow(), 0)
 	}
 }
 
@@ -153,17 +152,10 @@ func (m *Model) Download() *Params {
 	p := zeroParams(m.Cfg)
 	dev := m.Ctx.Dev
 	for l := range m.W {
-		dev.CopyOut(m.W[l], hostOrNil(dev, p.W[l]))
-		dev.CopyOut(m.B[l], hostOrNil(dev, p.B[l].AsRow()))
+		dev.CopyOut(m.W[l], p.W[l])
+		dev.CopyOut(m.B[l], p.B[l].AsRow())
 	}
 	return p
-}
-
-func hostOrNil(dev *device.Device, m *tensor.Matrix) *tensor.Matrix {
-	if dev.Numeric {
-		return m
-	}
-	return nil
 }
 
 // InitFromStack copies a pre-trained stack's encoder weights into the
@@ -183,11 +175,11 @@ func (m *Model) InitFromStack(res *stack.Result) error {
 		}
 		switch {
 		case layer.AE != nil:
-			dev.CopyIn(m.W[l], hostOrNil(dev, layer.AE.W1), 0)
-			dev.CopyIn(m.B[l], hostOrNil(dev, layer.AE.B1.AsRow()), 0)
+			dev.CopyIn(m.W[l], layer.AE.W1, 0)
+			dev.CopyIn(m.B[l], layer.AE.B1.AsRow(), 0)
 		case layer.RBM != nil:
-			dev.CopyIn(m.W[l], hostOrNil(dev, layer.RBM.W), 0)
-			dev.CopyIn(m.B[l], hostOrNil(dev, layer.RBM.C.AsRow()), 0)
+			dev.CopyIn(m.W[l], layer.RBM.W, 0)
+			dev.CopyIn(m.B[l], layer.RBM.C.AsRow(), 0)
 		default:
 			return fmt.Errorf("mlp: stack layer %d has no parameters", l)
 		}

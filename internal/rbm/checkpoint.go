@@ -1,44 +1,16 @@
 package rbm
 
-import (
-	"fmt"
-	"io"
+import "io"
 
-	"phideep/internal/rng"
-)
-
-// SaveState writes the model's resumable training state to w: the
-// device-resident parameters (downloaded over the simulated PCIe link, so
-// checkpointing has a visible transfer cost) followed by the context's
-// sampling-RNG state, so a restored model continues the exact Gibbs
-// stream. Optimizer extras (momentum velocity, PCD fantasy particles) are
-// not captured; exact resume holds for the vanilla CD configuration.
-func (m *Model) SaveState(w io.Writer) error {
-	if err := m.Download().Save(w); err != nil {
-		return err
-	}
-	state, err := m.Ctx.RNG.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(state); err != nil {
-		return fmt.Errorf("rbm: save state: %w", err)
-	}
-	return nil
-}
+// SaveState implements core.Checkpointer (blas.Context.SaveState), so a
+// restored model continues the exact Gibbs stream.
+func (m *Model) SaveState(w io.Writer) error { return m.Ctx.SaveState(w, m.Download()) }
 
 // RestoreState reads state written by SaveState, uploads the parameters to
-// the device and restores the sampling-RNG stream.
+// the device and restores the RNG stream.
 func (m *Model) RestoreState(r io.Reader) error {
 	p := NewParams(m.Cfg, 0)
-	if err := p.Load(r); err != nil {
-		return err
-	}
-	state := make([]byte, rng.MarshaledSize())
-	if _, err := io.ReadFull(r, state); err != nil {
-		return fmt.Errorf("rbm: restore state: %w", err)
-	}
-	if err := m.Ctx.RNG.UnmarshalBinary(state); err != nil {
+	if err := m.Ctx.RestoreState(r, p); err != nil {
 		return err
 	}
 	m.Upload(p)

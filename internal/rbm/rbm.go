@@ -183,9 +183,9 @@ func (m *Model) Free() {
 // Upload transfers host parameters to the device.
 func (m *Model) Upload(p *Params) {
 	dev := m.Ctx.Dev
-	dev.CopyIn(m.W, hostOrNil(dev, p.W), 0)
-	dev.CopyIn(m.B, hostOrNil(dev, p.B.AsRow()), 0)
-	dev.CopyIn(m.C, hostOrNil(dev, p.C.AsRow()), 0)
+	dev.CopyIn(m.W, p.W, 0)
+	dev.CopyIn(m.B, p.B.AsRow(), 0)
+	dev.CopyIn(m.C, p.C.AsRow(), 0)
 }
 
 // Download copies the device parameters back to the host.
@@ -196,17 +196,10 @@ func (m *Model) Download() *Params {
 		C: tensor.NewVector(m.Cfg.Hidden),
 	}
 	dev := m.Ctx.Dev
-	dev.CopyOut(m.W, hostOrNil(dev, p.W))
-	dev.CopyOut(m.B, hostOrNil(dev, p.B.AsRow()))
-	dev.CopyOut(m.C, hostOrNil(dev, p.C.AsRow()))
+	dev.CopyOut(m.W, p.W)
+	dev.CopyOut(m.B, p.B.AsRow())
+	dev.CopyOut(m.C, p.C.AsRow())
 	return p
-}
-
-func hostOrNil(dev *device.Device, m *tensor.Matrix) *tensor.Matrix {
-	if dev.Numeric {
-		return m
-	}
-	return nil
 }
 
 // hiddenFrom computes dst = σ(v·W + c) (Eq. 9 / Eq. 15 in batched vector

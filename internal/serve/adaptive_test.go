@@ -233,11 +233,13 @@ func TestAdaptiveErasesDeadlineCliff(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStatsAndMetrics: the adaptive knobs are visible both in
-// BatcherStats and as serve.tune.* metrics.
+// TestAdaptiveStatsAndMetrics: the adaptive knobs are visible in
+// BatcherStats, and the adjustment count rolls up into the
+// serve.tune.adjustments registry series.
 func TestAdaptiveStatsAndMetrics(t *testing.T) {
 	metrics.SetEnabled(true)
 	defer metrics.SetEnabled(false)
+	metrics.Default().Reset()
 	cfg := aeTestConfig()
 	srv, err := New(Autoencoder(cfg, autoencoder.NewParams(cfg, 1)), Config{
 		MaxBatch: 4,
@@ -253,11 +255,16 @@ func TestAdaptiveStatsAndMetrics(t *testing.T) {
 	if !st.Adaptive || st.CurMaxBatch != 4 || st.CurMaxWait != time.Millisecond {
 		t.Fatalf("initial adaptive stats wrong: %+v", st)
 	}
-	if got := mTuneBatch.Value(); got != 4 {
-		t.Fatalf("serve.tune.batch = %g, want 4", got)
+	// Sequential requests flush one at a time on the deadline; after a
+	// decision window the controller shrinks the batch.
+	for _, x := range randExamples(2*tuneWindow, cfg.Visible, 5) {
+		if _, err := srv.Encode(x); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := mTuneWait.Value(); got != time.Millisecond.Seconds() {
-		t.Fatalf("serve.tune.wait.seconds = %g", got)
+	st = srv.Stats()
+	if st.Adjustments == 0 || st.CurMaxBatch >= 4 {
+		t.Fatalf("controller did not adjust under sequential traffic: %+v", st)
 	}
 
 	// A static server reports its fixed knobs with zero adjustments.
@@ -268,5 +275,8 @@ func TestAdaptiveStatsAndMetrics(t *testing.T) {
 	defer stat.Close()
 	if st := stat.Stats(); st.Adaptive || st.CurMaxBatch != 8 || st.Adjustments != 0 {
 		t.Fatalf("static server stats wrong: %+v", st)
+	}
+	if got := metrics.Default().Snapshot().Counters["serve.tune.adjustments"]; got != srv.Stats().Adjustments {
+		t.Fatalf("serve.tune.adjustments = %d, want %d", got, srv.Stats().Adjustments)
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"phideep/internal/tensor"
 )
 
-// Bulk-scoring metric handles, same registry idiom as the request-path
-// metrics in metrics.go.
+// Bulk-scoring metric handles. Registry-only: BulkResult already carries
+// the per-sweep counts, so these record only while collection is enabled.
 var (
 	mBulkChunks = metrics.Default().Counter("serve.bulk.chunks")
 	mBulkRows   = metrics.Default().Counter("serve.bulk.rows")

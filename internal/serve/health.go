@@ -122,7 +122,6 @@ func (s *Server) Drain(timeout time.Duration) error {
 			s.flushLocked(Op(op), false)
 		}
 		s.notFull.Broadcast()
-		recordHealth(s.healthLocked())
 	}
 	s.mu.Unlock()
 

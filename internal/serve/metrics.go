@@ -1,157 +1,45 @@
 package serve
 
 import (
-	"sync/atomic"
 	"time"
 
 	"phideep/internal/metrics"
 )
 
-// Metric handles, resolved once against the default registry; every record
-// site is guarded by metrics.Enabled so a server with collection off pays
-// one atomic load per event.
-var (
-	mRequests   = metrics.Default().Counter("serve.requests")
-	mBatches    = metrics.Default().Counter("serve.batches")
-	mSheds      = metrics.Default().Counter("serve.sheds")
-	mDegrades   = metrics.Default().Counter("serve.degrades")
-	mQueueDepth = metrics.Default().Gauge("serve.queue.depth")
-	mBatchSize  = metrics.Default().Histogram("serve.batch.size", metrics.LinearBuckets(1, 1, 64)...)
-	mLatency    = metrics.Default().Histogram("serve.latency.seconds", metrics.ExpBuckets(1e-6, 2, 24)...)
+// ledger is a server's event count: one instance handle per event. Each
+// handle backs Stats and adds to its default-registry series while
+// metrics.Enabled() holds, so every event is recorded by one statement and
+// two servers in one process each see only their own events.
+// serve.batch.size counts dispatched batches and sums their requests;
+// serve.latency.seconds counts completed requests and sums their latency.
+type ledger struct {
+	batchSize, latency *metrics.LocalHistogram
 
-	mTuneBatch  = metrics.Default().Gauge("serve.tune.batch")
-	mTuneWait   = metrics.Default().Gauge("serve.tune.wait.seconds")
-	mTuneAdjust = metrics.Default().Counter("serve.tune.adjustments")
+	sheds, degrades, adjustments *metrics.LocalCounter
 
-	mFaultBatches = metrics.Default().Counter("serve.fault.batches")
-	mFaultRetries = metrics.Default().Counter("serve.fault.retries")
-	mRedispatches = metrics.Default().Counter("serve.fault.redispatches")
-	mRestarts     = metrics.Default().Counter("serve.restart.count")
-	mRetired      = metrics.Default().Counter("serve.restart.retired")
-	mDeadlines    = metrics.Default().Counter("serve.deadline.timeouts")
-	mDiscarded    = metrics.Default().Counter("serve.deadline.discarded")
-	mHealth       = metrics.Default().Gauge("serve.health")
-)
-
-func recordBatch(size int) {
-	if !metrics.Enabled() {
-		return
-	}
-	mRequests.Add(int64(size))
-	mBatches.Inc()
-	mBatchSize.Observe(float64(size))
+	faultBatches, faultRetries, redispatches *metrics.LocalCounter
+	restarts, retired                        *metrics.LocalCounter
+	deadlineTimeouts, discarded              *metrics.LocalCounter
 }
 
-func recordShed() {
-	if metrics.Enabled() {
-		mSheds.Inc()
+func newLedger() ledger {
+	r := metrics.Default()
+	return ledger{
+		batchSize: r.Histogram("serve.batch.size", metrics.LinearBuckets(1, 1, 64)...).Local(),
+		latency:   r.Histogram("serve.latency.seconds", metrics.ExpBuckets(1e-6, 2, 24)...).Local(),
+
+		sheds:       r.Counter("serve.sheds").Local(),
+		degrades:    r.Counter("serve.degrades").Local(),
+		adjustments: r.Counter("serve.tune.adjustments").Local(),
+
+		faultBatches:     r.Counter("serve.fault.batches").Local(),
+		faultRetries:     r.Counter("serve.fault.retries").Local(),
+		redispatches:     r.Counter("serve.fault.redispatches").Local(),
+		restarts:         r.Counter("serve.restart.count").Local(),
+		retired:          r.Counter("serve.restart.retired").Local(),
+		deadlineTimeouts: r.Counter("serve.deadline.timeouts").Local(),
+		discarded:        r.Counter("serve.deadline.discarded").Local(),
 	}
-}
-
-func recordDegrade() {
-	if metrics.Enabled() {
-		mDegrades.Inc()
-	}
-}
-
-func recordQueueDepth(depth int) {
-	if metrics.Enabled() {
-		mQueueDepth.Set(float64(depth))
-	}
-}
-
-func recordLatency(d time.Duration) {
-	if metrics.Enabled() {
-		mLatency.Observe(d.Seconds())
-	}
-}
-
-// recordTune publishes the adaptive controller's effective knobs. Called
-// once at startup (so the gauges exist even before the first adjustment)
-// and on every change.
-func recordTune(batch int, wait time.Duration) {
-	if metrics.Enabled() {
-		mTuneBatch.Set(float64(batch))
-		mTuneWait.Set(wait.Seconds())
-	}
-}
-
-func recordTuneAdjust() {
-	if metrics.Enabled() {
-		mTuneAdjust.Inc()
-	}
-}
-
-func recordFaultBatch() {
-	if metrics.Enabled() {
-		mFaultBatches.Inc()
-	}
-}
-
-func recordFaultRetry() {
-	if metrics.Enabled() {
-		mFaultRetries.Inc()
-	}
-}
-
-func recordRedispatch() {
-	if metrics.Enabled() {
-		mRedispatches.Inc()
-	}
-}
-
-func recordRestart() {
-	if metrics.Enabled() {
-		mRestarts.Inc()
-	}
-}
-
-func recordRetire() {
-	if metrics.Enabled() {
-		mRetired.Inc()
-	}
-}
-
-func recordDeadlineTimeout() {
-	if metrics.Enabled() {
-		mDeadlines.Inc()
-	}
-}
-
-func recordDiscarded() {
-	if metrics.Enabled() {
-		mDiscarded.Inc()
-	}
-}
-
-// recordHealth publishes the health state machine position as a gauge
-// (0 healthy, 1 degraded, 2 draining, 3 down).
-func recordHealth(h Health) {
-	if metrics.Enabled() {
-		mHealth.Set(float64(h))
-	}
-}
-
-// counters is the server's always-on internal ledger backing Stats.
-type counters struct {
-	requests      atomic.Int64
-	batches       atomic.Int64
-	flushFull     atomic.Int64
-	flushDeadline atomic.Int64
-	sheds         atomic.Int64
-	degrades      atomic.Int64
-	completed     atomic.Int64
-	batchSizeSum  atomic.Int64
-	latencyNanos  atomic.Int64
-	adjustments   atomic.Int64
-
-	faultBatches     atomic.Int64
-	faultRetries     atomic.Int64
-	redispatches     atomic.Int64
-	restarts         atomic.Int64
-	retired          atomic.Int64
-	deadlineTimeouts atomic.Int64
-	discarded        atomic.Int64
 }
 
 // BatcherStats is a point-in-time snapshot of the micro-batcher, returned
@@ -178,7 +66,7 @@ type BatcherStats struct {
 	// QueueDepth is the current number of admitted, not-yet-dispatched
 	// requests.
 	QueueDepth int
-	// AvgBatchSize is Requests-weighted mean coalescing achieved.
+	// AvgBatchSize is the mean number of requests per dispatched batch.
 	AvgBatchSize float64
 	// MeanLatencySeconds is the mean enqueue-to-answer latency of
 	// completed requests. Percentiles belong to the caller: the phiserve
@@ -221,38 +109,34 @@ type BatcherStats struct {
 // field is read atomically; the set is not a single atomic cut).
 func (s *Server) Stats() BatcherStats {
 	st := BatcherStats{
-		Precision:     s.cfg.Precision.String(),
-		Requests:      s.st.requests.Load(),
-		Completed:     s.st.completed.Load(),
-		Batches:       s.st.batches.Load(),
-		FlushFull:     s.st.flushFull.Load(),
-		FlushDeadline: s.st.flushDeadline.Load(),
-		Sheds:         s.st.sheds.Load(),
-		Degrades:      s.st.degrades.Load(),
-		Adaptive:      s.cfg.Adaptive,
-		Adjustments:   s.st.adjustments.Load(),
+		Precision:          s.cfg.Precision.String(),
+		Completed:          s.st.latency.Count(),
+		Batches:            s.st.batchSize.Count(),
+		Sheds:              s.st.sheds.Value(),
+		Degrades:           s.st.degrades.Value(),
+		AvgBatchSize:       s.st.batchSize.Mean(),
+		MeanLatencySeconds: s.st.latency.Mean(),
+		Adaptive:           s.cfg.Adaptive,
+		Adjustments:        s.st.adjustments.Value(),
 
 		WorkersConfigured: s.cfg.Workers,
-		FaultBatches:      s.st.faultBatches.Load(),
-		FaultRetries:      s.st.faultRetries.Load(),
-		Redispatches:      s.st.redispatches.Load(),
-		Restarts:          s.st.restarts.Load(),
-		Retired:           s.st.retired.Load(),
-		DeadlineTimeouts:  s.st.deadlineTimeouts.Load(),
-		Discarded:         s.st.discarded.Load(),
+		FaultBatches:      s.st.faultBatches.Value(),
+		FaultRetries:      s.st.faultRetries.Value(),
+		Redispatches:      s.st.redispatches.Value(),
+		Restarts:          s.st.restarts.Value(),
+		Retired:           s.st.retired.Value(),
+		DeadlineTimeouts:  s.st.deadlineTimeouts.Value(),
+		Discarded:         s.st.discarded.Value(),
 	}
 	s.mu.Lock()
+	st.Requests = s.requests
+	st.FlushFull = s.flushFull
+	st.FlushDeadline = s.flushDeadline
 	st.QueueDepth = s.queued
 	st.CurMaxBatch = s.curBatch
 	st.CurMaxWait = s.curWait
 	st.WorkersLive = s.live
 	st.Health = s.healthLocked().String()
 	s.mu.Unlock()
-	if st.Batches > 0 {
-		st.AvgBatchSize = float64(s.st.batchSizeSum.Load()) / float64(st.Batches)
-	}
-	if st.Completed > 0 {
-		st.MeanLatencySeconds = float64(s.st.latencyNanos.Load()) / float64(st.Completed) / 1e9
-	}
 	return st
 }

@@ -65,11 +65,14 @@
 //	model := serve.Autoencoder(cfg, trained.Download())
 //	srv, err := serve.New(model, serve.Config{MaxBatch: 16, MaxWait: time.Millisecond})
 //
-// Every stage records into internal/metrics (serve.queue.depth,
-// serve.batch.size, serve.latency.seconds, serve.sheds, serve.degrades,
-// serve.fault.*, serve.restart.*, serve.health) when collection is
-// enabled, and Server.Stats returns a BatcherStats snapshot
-// unconditionally.
+// Each server counts its own events once, in one instance handle per
+// event (metrics.go): the handles back the BatcherStats snapshot that
+// Server.Stats returns unconditionally, and roll up into the
+// internal/metrics series (serve.batch.size, serve.latency.seconds,
+// serve.sheds, serve.degrades, serve.tune.adjustments, serve.fault.*,
+// serve.restart.*, serve.deadline.*) while collection is enabled. State
+// that belongs to one server — queue depth, the adaptive knobs, health —
+// is reported in BatcherStats only.
 package serve
 
 import (
@@ -408,11 +411,17 @@ type Server struct {
 	curWait  time.Duration
 	tuner    *autotuner
 
+	// requests counts admissions; flushFull/flushDeadline split the
+	// dispatched batches by flush cause. Guarded by mu.
+	requests      int64
+	flushFull     int64
+	flushDeadline int64
+
 	batches chan []*request
 	workers []*worker
 	wg      sync.WaitGroup
 
-	st counters
+	st ledger
 }
 
 // New builds a server for the model: Workers device-bound replicas plus
@@ -439,11 +448,11 @@ func New(m *Model, cfg Config) (*Server, error) {
 		curBatch: cfg.MaxBatch,
 		curWait:  cfg.MaxWait,
 		live:     cfg.Workers,
+		st:       newLedger(),
 	}
 	s.notFull = sync.NewCond(&s.mu)
 	if cfg.Adaptive {
 		s.tuner = newAutotuner(cfg.MaxBatch, cfg.MaxWait)
-		recordTune(s.curBatch, s.curWait)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w, err := newWorker(s, i)
@@ -459,7 +468,6 @@ func New(m *Model, cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go w.loop()
 	}
-	recordHealth(Healthy)
 	return s, nil
 }
 
@@ -557,8 +565,7 @@ func (s *Server) admit(ctx context.Context, r *request, deadline time.Time) (boo
 			return false, ctxErr(ctx)
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			s.st.deadlineTimeouts.Add(1)
-			recordDeadlineTimeout()
+			s.st.deadlineTimeouts.Inc()
 			return false, ErrDeadline
 		}
 		if s.closed || s.draining {
@@ -572,12 +579,10 @@ func (s *Server) admit(ctx context.Context, r *request, deadline time.Time) (boo
 		}
 		switch s.cfg.Policy {
 		case Shed:
-			s.st.sheds.Add(1)
-			recordShed()
+			s.st.sheds.Inc()
 			return false, ErrOverloaded
 		case Degrade:
-			s.st.degrades.Add(1)
-			recordDegrade()
+			s.st.degrades.Inc()
 			return false, nil
 		default: // Block
 			if waker == nil && !deadline.IsZero() {
@@ -591,7 +596,7 @@ func (s *Server) admit(ctx context.Context, r *request, deadline time.Time) (boo
 	}
 	s.queued++
 	s.inflight++
-	s.st.requests.Add(1)
+	s.requests++
 	s.pending[r.op] = append(s.pending[r.op], r)
 	switch {
 	case len(s.pending[r.op]) >= s.curBatch:
@@ -599,7 +604,6 @@ func (s *Server) admit(ctx context.Context, r *request, deadline time.Time) (boo
 	case len(s.pending[r.op]) == 1:
 		s.armTimerLocked(r.op)
 	}
-	recordQueueDepth(s.queued)
 	return true, nil
 }
 
@@ -640,8 +644,7 @@ func (s *Server) await(ctx context.Context, r *request, deadline time.Time) ([]f
 // race against the completing worker.
 func (s *Server) abandon(r *request) bool {
 	if r.state.CompareAndSwap(reqPending, reqAbandoned) {
-		s.st.deadlineTimeouts.Add(1)
-		recordDeadlineTimeout()
+		s.st.deadlineTimeouts.Inc()
 		return true
 	}
 	return false
@@ -685,22 +688,18 @@ func (s *Server) flushLocked(op Op, full bool) {
 	}
 	s.pending[op] = nil
 	s.timerGen[op]++
-	s.st.batches.Add(1)
-	s.st.batchSizeSum.Add(int64(len(batch)))
+	s.st.batchSize.Observe(float64(len(batch)))
 	if full {
-		s.st.flushFull.Add(1)
+		s.flushFull++
 	} else {
-		s.st.flushDeadline.Add(1)
+		s.flushDeadline++
 	}
-	recordBatch(len(batch))
 	s.batches <- batch
 	if s.tuner != nil && !s.closed {
-		if s.tuner.observe(full, len(batch), s.queued, s.st.sheds.Load()) {
+		if s.tuner.observe(full, len(batch), s.queued, s.st.sheds.Value()) {
 			s.curBatch = s.tuner.batch
 			s.curWait = s.tuner.wait
-			s.st.adjustments.Add(1)
-			recordTune(s.curBatch, s.curWait)
-			recordTuneAdjust()
+			s.st.adjustments.Inc()
 		}
 	}
 }
@@ -734,9 +733,7 @@ func (s *Server) Close() {
 		s.flushLocked(Op(op), false)
 	}
 	s.notFull.Broadcast()
-	h := s.healthLocked()
 	s.mu.Unlock()
-	recordHealth(h)
 	close(s.batches)
 	s.wg.Wait()
 }

@@ -34,8 +34,7 @@ func workerFaultConfig(base device.FaultConfig, slot, incarnation int) device.Fa
 // the survivors.
 func (w *worker) handleFault(batch []*request, cause error) bool {
 	s := w.s
-	s.st.faultBatches.Add(1)
-	recordFaultBatch()
+	s.st.faultBatches.Inc()
 	ferr := w.faultError(cause)
 	alive := w.rebuild(cause)
 
@@ -52,8 +51,7 @@ func (w *worker) handleFault(batch []*request, cause error) bool {
 		}
 		select {
 		case s.batches <- batch:
-			s.st.redispatches.Add(1)
-			recordRedispatch()
+			s.st.redispatches.Inc()
 			batch = nil
 		default:
 		}
@@ -87,8 +85,7 @@ func (w *worker) rebuild(cause error) bool {
 			return false
 		}
 		w.restarts++
-		w.s.st.restarts.Add(1)
-		recordRestart()
+		w.s.st.restarts.Inc()
 		err := w.build()
 		if err == nil {
 			return true
@@ -108,17 +105,14 @@ func (w *worker) retire(cause error) {
 	s := w.s
 	s.mu.Lock()
 	s.live--
-	s.st.retired.Add(1)
+	s.st.retired.Inc()
 	if s.live == 0 {
 		for op := 0; op < numOps; op++ {
 			s.flushLocked(Op(op), false)
 		}
 	}
 	s.notFull.Broadcast()
-	h := s.healthLocked()
 	s.mu.Unlock()
-	recordRetire()
-	recordHealth(h)
 }
 
 // faultError wraps cause with the worker's identity for callers.
@@ -142,13 +136,9 @@ func (s *Server) failBatch(batch []*request, err error) {
 func (s *Server) finishRequest(r *request, out []float64, err error, now time.Time) {
 	if r.state.CompareAndSwap(reqPending, reqDone) {
 		r.out, r.err = out, err
-		lat := now.Sub(r.enq)
-		s.st.completed.Add(1)
-		s.st.latencyNanos.Add(lat.Nanoseconds())
-		recordLatency(lat)
+		s.st.latency.Observe(now.Sub(r.enq).Seconds())
 	} else {
-		s.st.discarded.Add(1)
-		recordDiscarded()
+		s.st.discarded.Inc()
 	}
 	close(r.done)
 	s.mu.Lock()

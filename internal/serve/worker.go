@@ -115,7 +115,6 @@ func (w *worker) loop() {
 			w.s.mu.Lock()
 			w.s.queued -= len(batch)
 			w.s.notFull.Broadcast()
-			recordQueueDepth(w.s.queued)
 			w.s.mu.Unlock()
 		}
 		if w.retired {
@@ -199,8 +198,7 @@ func (w *worker) retryTransfer(attempt func() error) error {
 		if !errors.As(err, &terr) || terr.Permanent || tries >= w.s.cfg.FaultRetries {
 			return err
 		}
-		w.s.st.faultRetries.Add(1)
-		recordFaultRetry()
+		w.s.st.faultRetries.Inc()
 	}
 }
 
