@@ -335,13 +335,13 @@ func BenchmarkKernelGemm512F32(b *testing.B) {
 	r := rng.New(2)
 	a := tensor.NewMatrix(512, 512).Randomize(r, -1, 1).To32()
 	bm := tensor.NewMatrix(512, 512).Randomize(r, -1, 1).To32()
-	c := tensor.NewMatrix32(512, 512)
+	c := tensor.NewMat[float32](512, 512)
 	pool := parallel.NewPool(0)
 	defer pool.Close()
 	for _, lvl := range kernels.Levels {
 		b.Run(lvl.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				kernels.Gemm32(pool, lvl, false, false, 1, a, bm, 0, c)
+				kernels.Gemm(pool, lvl, false, false, 1, a, bm, 0, c)
 			}
 			reportGflops(b, 512, 512, 512)
 		})

@@ -31,6 +31,10 @@ go test ./...
 # leftover global state (the metrics registry, process-wide toggles) can
 # never be what another test's pass depends on.
 go test -shuffle=on ./...
+# Checkpoint bytes arrive from outside the process: one short fixed fuzz
+# pass over the PHCK decoder (typed error or exact round trip, never a
+# panic), on top of the committed seed corpus the plain test run replays.
+go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/core/
 # The pure-Go micro-kernel fallbacks (f64 and f32) must stay correct on
 # their own: re-run the kernel suite — and the convnet built on the
 # lowered GEMM — with the assembly path compiled out. The tuner rides

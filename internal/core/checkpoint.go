@@ -89,23 +89,39 @@ func (c *Checkpoint) encode() []byte {
 	return append(out, crc[:]...)
 }
 
+// CorruptCheckpointError is the error DecodeCheckpoint (and so
+// ReadCheckpoint) returns for bytes that are not a valid checkpoint: bad
+// magic, checksum or version, truncation, or lengths that disagree with
+// the data. The CRC is not a MAC, so a body with a recomputed checksum can
+// still carry any header values; decoding bounds every length against the
+// bytes actually present before allocating.
+type CorruptCheckpointError struct {
+	Reason string
+}
+
+func (e *CorruptCheckpointError) Error() string { return "core: checkpoint: " + e.Reason }
+
+func corrupt(format string, args ...any) error {
+	return &CorruptCheckpointError{Reason: fmt.Sprintf(format, args...)}
+}
+
 // decodeCheckpoint parses and verifies an encoded checkpoint.
 func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < 4+4+8 || !bytes.Equal(data[:4], ckptMagic[:]) {
-		return nil, fmt.Errorf("core: checkpoint: bad magic or truncated file")
+		return nil, corrupt("bad magic or truncated file")
 	}
 	body, crcBytes := data[4:len(data)-8], data[len(data)-8:]
 	le := binary.LittleEndian
 	if crc64.Checksum(body, ckptCRC) != le.Uint64(crcBytes) {
-		return nil, fmt.Errorf("core: checkpoint: checksum mismatch (file corrupt)")
+		return nil, corrupt("checksum mismatch (file corrupt)")
 	}
 	if v := le.Uint32(body[:4]); v != ckptVersion {
-		return nil, fmt.Errorf("core: checkpoint: version %d, want %d", v, ckptVersion)
+		return nil, corrupt("version %d, want %d", v, ckptVersion)
 	}
 	body = body[4:]
 	r64 := func() (uint64, error) {
 		if len(body) < 8 {
-			return 0, fmt.Errorf("core: checkpoint: truncated body")
+			return 0, corrupt("truncated body")
 		}
 		v := le.Uint64(body[:8])
 		body = body[8:]
@@ -135,8 +151,9 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(body)) < count*8 {
-		return nil, fmt.Errorf("core: checkpoint: truncated epoch losses")
+	// Divide rather than multiply: count*8 wraps for count >= 2^61.
+	if count > uint64(len(body))/8 {
+		return nil, corrupt("truncated epoch losses")
 	}
 	c.EpochLoss = make([]float64, count)
 	for i := range c.EpochLoss {
@@ -148,7 +165,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	if uint64(len(body)) != blobLen {
-		return nil, fmt.Errorf("core: checkpoint: model blob is %d bytes, header says %d", len(body), blobLen)
+		return nil, corrupt("model blob is %d bytes, header says %d", len(body), blobLen)
 	}
 	c.Model = append([]byte(nil), body...)
 	return c, nil
@@ -162,7 +179,8 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 func EncodeCheckpoint(c *Checkpoint) []byte { return c.encode() }
 
 // DecodeCheckpoint parses and verifies bytes produced by EncodeCheckpoint
-// (or read from a checkpoint file).
+// (or read from a checkpoint file). Invalid bytes yield a
+// *CorruptCheckpointError, never a panic.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return decodeCheckpoint(data) }
 
 // WriteCheckpoint atomically persists c to path: the bytes are written to a

@@ -357,8 +357,8 @@ func TestConvKernels32MatchF64(t *testing.T) {
 	for _, lvl := range Levels {
 		cols := tensor.NewMatrix(batch*oHW, s.ColK())
 		Im2col(pool, lvl, s, batch, x, cols)
-		cols32 := tensor.NewMatrix32(batch*oHW, s.ColK())
-		Im2col32(pool, lvl, s, batch, x32, cols32)
+		cols32 := tensor.NewMat[float32](batch*oHW, s.ColK())
+		Im2col(pool, lvl, s, batch, x32, cols32)
 		for i := range cols32.Data {
 			if cols32.Data[i] != float32(cols.Data[i]) {
 				t.Fatalf("level %v: im2col32[%d] = %g, want %g", lvl, i, cols32.Data[i], float32(cols.Data[i]))
@@ -368,8 +368,8 @@ func TestConvKernels32MatchF64(t *testing.T) {
 		y := tensor.NewMatrix(batch, ps.OutDim())
 		arg := tensor.NewMatrix(batch, ps.OutDim())
 		MaxPool(pool, lvl, ps, batch, px, y, arg)
-		y32 := tensor.NewMatrix32(batch, ps.OutDim())
-		MaxPool32(pool, lvl, ps, batch, px32, y32)
+		y32 := tensor.NewMat[float32](batch, ps.OutDim())
+		MaxPool(pool, lvl, ps, batch, px32, y32, nil)
 		for i := range y32.Data {
 			if y32.Data[i] != float32(y.Data[i]) {
 				t.Fatalf("level %v: maxpool32[%d] = %g, want %g", lvl, i, y32.Data[i], float32(y.Data[i]))

@@ -21,21 +21,23 @@ func forRows(pool *parallel.Pool, lvl Level, n int, body func(lo, hi int)) {
 	}
 }
 
-func checkSameShape(op string, a, b *tensor.Matrix) {
+func checkSameShape[T tensor.Float](op string, a, b *tensor.Mat[T]) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("kernels: %s shape mismatch: %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 }
 
 // Sigmoid computes dst = 1/(1+exp(-src)) elementwise. dst and src may be
-// the same matrix. This is the vectorized sampling map of Eqs. 14–15.
-func Sigmoid(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix) {
+// the same matrix. This is the vectorized sampling map of Eqs. 14–15. The
+// exponential evaluates in float64 and rounds once on store, so the only
+// float32-specific error is representation, not algorithm.
+func Sigmoid[T tensor.Float](pool *parallel.Pool, lvl Level, dst, src *tensor.Mat[T]) {
 	checkSameShape("Sigmoid", dst, src)
 	forRows(pool, lvl, src.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s, d := src.RowView(i), dst.RowView(i)
 			for j, v := range s {
-				d[j] = 1 / (1 + math.Exp(-v))
+				d[j] = T(1 / (1 + math.Exp(-float64(v))))
 			}
 		}
 	})
@@ -57,7 +59,7 @@ func SigmoidPrimeFromY(pool *parallel.Pool, lvl Level, dst, y *tensor.Matrix) {
 
 // AddBiasRow adds the bias vector b to every row of m in place:
 // m[i,:] += b. This realizes the "+ b" of y = s(Wx + b) in batched form.
-func AddBiasRow(pool *parallel.Pool, lvl Level, m *tensor.Matrix, b tensor.Vector) {
+func AddBiasRow[T tensor.Float](pool *parallel.Pool, lvl Level, m *tensor.Mat[T], b tensor.Vec[T]) {
 	if len(b) != m.Cols {
 		panic(fmt.Sprintf("kernels: AddBiasRow bias length %d, want %d", len(b), m.Cols))
 	}

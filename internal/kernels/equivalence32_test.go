@@ -106,7 +106,7 @@ func runGemm32Case(t *testing.T, pool *parallel.Pool, r *rng.RNG, m, k, n int, t
 
 	for _, lvl := range Levels {
 		c := &tensor.Matrix32{Rows: c0.Rows, Cols: c0.Cols, Stride: c0.Stride, Data: append([]float32(nil), c0.Data...)}
-		Gemm32(pool, lvl, transA, transB, alpha, a, b, beta, c)
+		Gemm(pool, lvl, transA, transB, alpha, a, b, beta, c)
 		tn := map[bool]string{false: "N", true: "T"}
 		ctx := fmt.Sprintf("%s/%s%s/%dx%dx%d/alpha=%v,beta=%v", lvl, tn[transA], tn[transB], m, k, n, alpha, beta)
 		compareToOracle32(t, ctx, c, want, tol)
@@ -166,13 +166,13 @@ func TestGemm32Deterministic(t *testing.T) {
 	r := rng.New(31)
 	a := stridedRand32(r, 65, 257, 2)
 	b := stridedRand32(r, 257, 33, 1)
-	ref := tensor.NewMatrix32(65, 33)
-	Gemm32(nil, Blocked, false, false, 1.25, a, b, 0.5, ref)
+	ref := tensor.NewMat[float32](65, 33)
+	Gemm(nil, Blocked, false, false, 1.25, a, b, 0.5, ref)
 	for _, workers := range []int{1, 2, 3, 7} {
 		pool := parallel.NewPool(workers)
 		for rep := 0; rep < 2; rep++ {
-			c := tensor.NewMatrix32(65, 33)
-			Gemm32(pool, ParallelBlocked, false, false, 1.25, a, b, 0.5, c)
+			c := tensor.NewMat[float32](65, 33)
+			Gemm(pool, ParallelBlocked, false, false, 1.25, a, b, 0.5, c)
 			for i := 0; i < c.Rows; i++ {
 				for j := 0; j < c.Cols; j++ {
 					if c.At(i, j) != ref.At(i, j) {
@@ -198,9 +198,9 @@ func TestSoftmax32MatchesF64(t *testing.T) {
 		want := tensor.NewMatrix(rows, cols)
 		SoftmaxRows(nil, Naive, want, to64(src))
 		for _, lvl := range Levels {
-			dst := tensor.NewMatrix32(rows, cols)
-			SoftmaxRows32(pool, lvl, dst, src)
-			if d := tensor.MaxAbsDiff32(dst, want); d > 1e-6 {
+			dst := tensor.NewMat[float32](rows, cols)
+			SoftmaxRows(pool, lvl, dst, src)
+			if d := tensor.MaxAbsDiff(dst, want); d > 1e-6 {
 				t.Fatalf("%s %dx%d: softmax diff %g", lvl, rows, cols, d)
 			}
 			// Rows must still sum to 1 within float32 rounding.
@@ -238,9 +238,9 @@ func TestSigmoid32AndBias32MatchF64(t *testing.T) {
 
 	for _, lvl := range Levels {
 		got := src.Clone()
-		AddBiasRow32(pool, lvl, got, bias)
-		Sigmoid32(pool, lvl, got, got)
-		if d := tensor.MaxAbsDiff32(got, want); d > 1e-6 {
+		AddBiasRow(pool, lvl, got, bias)
+		Sigmoid(pool, lvl, got, got)
+		if d := tensor.MaxAbsDiff(got, want); d > 1e-6 {
 			t.Fatalf("%s: bias+sigmoid diff %g", lvl, d)
 		}
 	}

@@ -12,41 +12,48 @@ import (
 // Gemm computes C = alpha*op(A)*op(B) + beta*C, where op(X) is X or Xᵀ
 // according to transA/transB, at the given optimization level. pool may be
 // nil for non-parallel levels. Shapes: op(A) is m×k, op(B) is k×n, C is m×n.
+// T is float64 for training or float32 for the forward-only serving path:
+// halving the element width doubles the SIMD lanes per fused multiply-add
+// and halves memory traffic, the vector-width lever the paper's Phi
+// speedups rest on.
 //
 // The Blocked and ParallelBlocked levels run the packed, register-blocked
-// micro-kernel (gemm_packed.go); Naive and Parallel run scalar row loops.
-// All levels compute the same result up to floating-point association
-// order.
+// micro-kernel of T's precision (gemm_packed.go; 4x8 at f64, 8x16 at f32);
+// Naive and Parallel run scalar row loops. All levels compute the same
+// result up to floating-point rounding and association order, and each is
+// bit-deterministic for a fixed worker count.
 //
 // When metrics collection is enabled (internal/metrics), every call records
 // its count, flop volume, wall-clock duration and the micro-kernel path
-// taken (assembly, Go fallback, or scalar); disabled, the instrumentation
-// is one atomic load.
-func Gemm(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a, b *tensor.Matrix, beta float64, c *tensor.Matrix) {
+// taken (assembly, Go fallback, or scalar) into its precision's family —
+// kernels.gemm.* at f64, kernels.gemm32.* at f32; disabled, the
+// instrumentation is one atomic load.
+func Gemm[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, alpha T, a, b *tensor.Mat[T], beta T, c *tensor.Mat[T]) {
 	if !metrics.Enabled() {
 		gemmDispatch(pool, lvl, transA, transB, alpha, a, b, beta, c)
 		return
 	}
 	start := time.Now()
 	gemmDispatch(pool, lvl, transA, transB, alpha, a, b, beta, c)
-	mGemmSeconds.Observe(time.Since(start).Seconds())
-	mGemmCalls.Inc()
+	mm := prec[T]().gemm
+	mm.seconds.Observe(time.Since(start).Seconds())
+	mm.calls.Inc()
 	m, k := opShape(a, transA)
 	_, n := opShape(b, transB)
-	mGemmFlops.Add(2 * float64(m) * float64(k) * float64(n))
+	mm.flops.Add(2 * float64(m) * float64(k) * float64(n))
 	switch {
 	case lvl.IsBlocked() && useAsmKernel:
-		mGemmPathAsm.Inc()
+		mm.pathAsm.Inc()
 	case lvl.IsBlocked():
-		mGemmPathGo.Inc()
+		mm.pathGo.Inc()
 	default:
-		mGemmPathScalar.Inc()
+		mm.pathScalar.Inc()
 	}
 }
 
 // gemmDispatch is the uninstrumented Gemm body: validate, then route to the
 // packed micro-kernel or the scalar row loops.
-func gemmDispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha float64, a, b *tensor.Matrix, beta float64, c *tensor.Matrix) {
+func gemmDispatch[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, alpha T, a, b *tensor.Mat[T], beta T, c *tensor.Mat[T]) {
 	m, ka := opShape(a, transA)
 	kb, n := opShape(b, transB)
 	if ka != kb {
@@ -96,14 +103,14 @@ func gemmDispatch(pool *parallel.Pool, lvl Level, transA, transB bool, alpha flo
 	}
 }
 
-func opShape(x *tensor.Matrix, trans bool) (rows, cols int) {
+func opShape[T tensor.Float](x *tensor.Mat[T], trans bool) (rows, cols int) {
 	if trans {
 		return x.Cols, x.Rows
 	}
 	return x.Rows, x.Cols
 }
 
-func scaleC(pool *parallel.Pool, lvl Level, beta float64, c *tensor.Matrix) {
+func scaleC[T tensor.Float](pool *parallel.Pool, lvl Level, beta T, c *tensor.Mat[T]) {
 	if beta == 1 {
 		return
 	}
@@ -128,7 +135,7 @@ func scaleC(pool *parallel.Pool, lvl Level, beta float64, c *tensor.Matrix) {
 
 // gemmNN accumulates C[lo:hi,:] += alpha * A[lo:hi,:] * B with the scalar
 // "ikj" loop: streams B rows, accumulates into the C row.
-func gemmNN(alpha float64, a, b, c *tensor.Matrix, lo, hi int) {
+func gemmNN[T tensor.Float](alpha T, a, b, c *tensor.Mat[T], lo, hi int) {
 	k, n := a.Cols, c.Cols
 	for i := lo; i < hi; i++ {
 		arow, crow := a.RowView(i), c.RowView(i)
@@ -147,13 +154,13 @@ func gemmNN(alpha float64, a, b, c *tensor.Matrix, lo, hi int) {
 
 // gemmNT accumulates C[lo:hi,:] += alpha * A[lo:hi,:] * Bᵀ. Both operand
 // rows are contiguous, so the inner kernel is a dot product.
-func gemmNT(alpha float64, a, b, c *tensor.Matrix, lo, hi int) {
+func gemmNT[T tensor.Float](alpha T, a, b, c *tensor.Mat[T], lo, hi int) {
 	k, n := a.Cols, c.Cols
 	for i := lo; i < hi; i++ {
 		arow, crow := a.RowView(i), c.RowView(i)
 		for j := 0; j < n; j++ {
 			brow := b.RowView(j)
-			s := 0.0
+			var s T
 			for l := 0; l < k; l++ {
 				s += arow[l] * brow[l]
 			}
@@ -164,7 +171,7 @@ func gemmNT(alpha float64, a, b, c *tensor.Matrix, lo, hi int) {
 
 // gemmTN accumulates C[lo:hi,:] += alpha * Aᵀ[lo:hi,:] * B, i.e. row i of C
 // gathers column i of A. Used for weight gradients (Δᵀ·X patterns).
-func gemmTN(alpha float64, a, b, c *tensor.Matrix, lo, hi int) {
+func gemmTN[T tensor.Float](alpha T, a, b, c *tensor.Mat[T], lo, hi int) {
 	k, n := a.Rows, c.Cols // op(A) is (a.Cols)×(a.Rows)
 	for l := 0; l < k; l++ {
 		arow, brow := a.RowView(l), b.RowView(l)
@@ -262,7 +269,7 @@ func gemvTransParallel(pool *parallel.Pool, alpha float64, a *tensor.Matrix, x, 
 	}
 	per := (a.Rows + blocks - 1) / blocks
 	blocks = (a.Rows + per - 1) / per
-	ar := arenaPool.Get().(*arena)
+	ar := f64.arenas.Get().(*arena[float64])
 	m := len(y)
 	partials := ar.ensure(blocks * m)
 	pool.For(blocks, parallel.Static, 0, func(blo, bhi int) {
@@ -283,5 +290,5 @@ func gemvTransParallel(pool *parallel.Pool, alpha float64, a *tensor.Matrix, x, 
 			y[i] += v
 		}
 	}
-	arenaPool.Put(ar)
+	f64.arenas.Put(ar)
 }

@@ -20,38 +20,81 @@ const (
 	ncBlock = 512 // n-extent of a packed B panel (kc×nc = 1 MiB ceiling)
 )
 
-// arena is a reusable float64 scratch buffer. Arenas are pooled so packing
+// precision is everything the generic kernel bodies need that differs by
+// element type: the register tile and cache blocking, the micro-kernel
+// (assembly tile or pure-Go fallback), the scratch pools and the metric
+// handles. The loops, packing and folding are written once over T; only
+// the values in this table are per precision.
+type precision[T tensor.Float] struct {
+	mr, nr, kcBlock, ncBlock int
+	// tile computes one full mr×nr register tile into out (see kernelTile).
+	tile   func(kc int, ap, bp, out []T)
+	arenas sync.Pool // *arena[T]
+	states sync.Pool // *gemmState[T]
+	gemm   *gemmMetrics
+	// Conv lowering wall time, timed for the device-side f64 kernels only;
+	// nil leaves the f32 host calls untimed (metrics.go).
+	im2colSeconds, poolSeconds *metrics.Histogram
+}
+
+var (
+	f64 = &precision[float64]{
+		mr: mr, nr: nr, kcBlock: kcBlock, ncBlock: ncBlock,
+		tile:          kernelTile,
+		arenas:        sync.Pool{New: func() any { return new(arena[float64]) }},
+		states:        sync.Pool{New: func() any { return new(gemmState[float64]) }},
+		gemm:          &mGemm,
+		im2colSeconds: mConvIm2colSeconds,
+		poolSeconds:   mConvPoolSeconds,
+	}
+	f32 = &precision[float32]{
+		mr: mr32, nr: nr32, kcBlock: kcBlock32, ncBlock: ncBlock32,
+		tile:   kernelTile32,
+		arenas: sync.Pool{New: func() any { return new(arena[float32]) }},
+		states: sync.Pool{New: func() any { return new(gemmState[float32]) }},
+		gemm:   &mGemm32,
+	}
+)
+
+// prec returns the precision table of element type T.
+func prec[T tensor.Float]() *precision[T] {
+	if p, ok := any(f64).(*precision[T]); ok {
+		return p
+	}
+	return any(f32).(*precision[T])
+}
+
+// arena is a reusable scratch buffer. Arenas are pooled so packing
 // allocates nothing in steady state; the pooled object is a pointer, so
 // Get/Put do not allocate either.
-type arena struct {
-	buf []float64
+type arena[T tensor.Float] struct {
+	buf []T
 }
 
 // ensure returns a slice of exactly n elements backed by the arena,
 // growing the backing store if needed. Contents are unspecified. When
 // metrics are enabled each call is classified as a pool reuse (capacity
 // sufficed) or a grow (reallocation) — the observable form of the
-// steady-state zero-alloc claim.
-func (ar *arena) ensure(n int) []float64 {
+// steady-state zero-alloc claim. The counters are shared across
+// precisions: they describe pack-arena behaviour as a whole.
+func (ar *arena[T]) ensure(n int) []T {
 	if cap(ar.buf) < n {
 		if metrics.Enabled() {
 			mArenaGrow.Inc()
 		}
-		ar.buf = make([]float64, n)
+		ar.buf = make([]T, n)
 	} else if metrics.Enabled() {
 		mArenaReuse.Inc()
 	}
 	return ar.buf[:n]
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(arena) }}
-
 // packB packs op(B)[pc:pc+kc, jc:jc+nc] into bp as a sequence of nr-wide
 // micro-panels, each laid out k-major: element (l, jj) of micro-panel jp
 // lands at bp[jp*kc*nr + l*nr + jj]. Ragged right edges are zero-padded to
 // nr so the micro-kernel always reads full lanes. b may be strided; the
 // packed panel is always unit-stride.
-func packB(bp []float64, b *tensor.Matrix, transB bool, pc, kc, jc, nc int) {
+func packB[T tensor.Float](bp []T, nr int, b *tensor.Mat[T], transB bool, pc, kc, jc, nc int) {
 	for jp := 0; jp*nr < nc; jp++ {
 		j0 := jc + jp*nr
 		w := nr
@@ -89,7 +132,7 @@ func packB(bp []float64, b *tensor.Matrix, transB bool, pc, kc, jc, nc int) {
 // packA packs the mr-row sliver op(A)[i0:i0+h, pc:pc+kc] into ap, k-major:
 // element (ii, l) lands at ap[l*mr+ii]. Rows past h are zero-padded so edge
 // tiles run the same full micro-kernel.
-func packA(ap []float64, a *tensor.Matrix, transA bool, i0, h, pc, kc int) {
+func packA[T tensor.Float](ap []T, mr int, a *tensor.Mat[T], transA bool, i0, h, pc, kc int) {
 	if transA {
 		// op(A)[i][l] = A[l][i]: row pc+l of A holds lane l for all ii.
 		for l := 0; l < kc; l++ {
@@ -130,12 +173,12 @@ func packA(ap []float64, a *tensor.Matrix, transA bool, i0, h, pc, kc int) {
 // kernel computes the same tile as four 4×2 register sub-tiles (eight
 // scalar accumulators + six operand temporaries fit amd64's sixteen FP
 // registers, so the fallback loop also runs spill-free).
-func kernelTile(kc int, ap, bp []float64, out *[mr * nr]float64) {
+func kernelTile(kc int, ap, bp, out []float64) {
 	if useAsmKernel {
 		dgemmKernel4x8(kc, &ap[0], &bp[0], &out[0])
 		return
 	}
-	kernelTileGo(kc, ap, bp, out)
+	kernelTileGo(kc, ap, bp, (*[mr * nr]float64)(out))
 }
 
 func kernelTileGo(kc int, ap, bp []float64, out *[mr * nr]float64) {
@@ -169,13 +212,13 @@ func kernelTileGo(kc int, ap, bp []float64, out *[mr * nr]float64) {
 	}
 }
 
-// foldTile folds the computed register tile into C:
+// foldTile folds the computed register tile (rows nr wide) into C:
 //
 //	C = beta·C + alpha·acc    (beta == 1 for every k-panel after the first)
 //
 // h×w (≤ mr×nr) is the valid extent of the tile in C; the zero-padded
 // lanes outside it are discarded.
-func foldTile(out *[mr * nr]float64, alpha, beta float64, c *tensor.Matrix, i0, j0, h, w int) {
+func foldTile[T tensor.Float](out []T, nr int, alpha, beta T, c *tensor.Mat[T], i0, j0, h, w int) {
 	for ii := 0; ii < h; ii++ {
 		crow := c.Data[(i0+ii)*c.Stride+j0:][:w]
 		acc := out[ii*nr : ii*nr+w]

@@ -10,25 +10,27 @@ import (
 
 // SoftmaxRows computes a numerically stable row-wise softmax:
 // dst[i,j] = exp(src[i,j] − max_i) / Σ_j exp(src[i,j] − max_i). dst and src
-// may be the same matrix. Used by the supervised fine-tuning head.
-func SoftmaxRows(pool *parallel.Pool, lvl Level, dst, src *tensor.Matrix) {
+// may be the same matrix. Used by the supervised fine-tuning head. The max
+// and the exponential sum accumulate in float64, so a float32 row loses no
+// more precision than the final rounding.
+func SoftmaxRows[T tensor.Float](pool *parallel.Pool, lvl Level, dst, src *tensor.Mat[T]) {
 	checkSameShape("SoftmaxRows", dst, src)
 	forRows(pool, lvl, src.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s, d := src.RowView(i), dst.RowView(i)
 			maxV := math.Inf(-1)
 			for _, v := range s {
-				if v > maxV {
-					maxV = v
+				if float64(v) > maxV {
+					maxV = float64(v)
 				}
 			}
 			sum := 0.0
 			for j, v := range s {
-				e := math.Exp(v - maxV)
-				d[j] = e
+				e := math.Exp(float64(v) - maxV)
+				d[j] = T(e)
 				sum += e
 			}
-			inv := 1 / sum
+			inv := T(1 / sum)
 			for j := range d {
 				d[j] *= inv
 			}

@@ -169,9 +169,9 @@ func TestConvnetF32MatchesReference(t *testing.T) {
 	p := convnet.NewParams(cfg, 31)
 	const n = 5
 	xs := randExamples(n, cfg.InputDim(), 32)
-	x32 := tensor.NewMatrix32(n, cfg.InputDim())
+	x32 := tensor.NewMat[float32](n, cfg.InputDim())
 	for i, x := range xs {
-		tensor.Round32(x32.RowView(i), x)
+		tensor.Convert(x32.RowView(i), x)
 	}
 	m := Convnet(cfg, p)
 	for _, lvl := range kernels.Levels {

@@ -234,9 +234,9 @@ func newHostForward(m *Model, pool *parallel.Pool, lvl kernels.Level, maxBatch i
 		out: make([]*tensor.Matrix32, len(p.nodes)), cols: make([]*tensor.Matrix32, len(p.nodes))}
 	for i, nd := range p.nodes {
 		out, aux := p.shape(i)
-		h.out[i] = tensor.NewMatrix32(maxBatch*out[0], out[1])
+		h.out[i] = tensor.NewMat[float32](maxBatch*out[0], out[1])
 		if nd.kind == conv {
-			h.cols[i] = tensor.NewMatrix32(maxBatch*aux[0], aux[1])
+			h.cols[i] = tensor.NewMat[float32](maxBatch*aux[0], aux[1])
 		}
 	}
 	return h
@@ -253,10 +253,10 @@ func (h *hostForward) run(x *tensor.Matrix32, upto int) *tensor.Matrix32 {
 		switch nd.kind {
 		case conv:
 			cols := h.cols[i].RowsView(0, n*a[0])
-			kernels.Im2col32(h.pool, h.lvl, nd.conv, n, in, cols)
+			kernels.Im2col(h.pool, h.lvl, nd.conv, n, in, cols)
 			h.layer(nd, cols, out)
 		case pool:
-			kernels.MaxPool32(h.pool, h.lvl, nd.pool, n, in, out)
+			kernels.MaxPool(h.pool, h.lvl, nd.pool, n, in, out, nil)
 		default:
 			h.layer(nd, in, out)
 		}
@@ -267,12 +267,12 @@ func (h *hostForward) run(x *tensor.Matrix32, upto int) *tensor.Matrix32 {
 
 // layer is the f32 GEMM + bias + activation step.
 func (h *hostForward) layer(nd node, in, out *tensor.Matrix32) {
-	kernels.Gemm32(h.pool, h.lvl, false, nd.transB, 1, in, h.params[nd.w], 0, out)
-	kernels.AddBiasRow32(h.pool, h.lvl, out, h.params[nd.b].RowView(0))
+	kernels.Gemm(h.pool, h.lvl, false, nd.transB, 1, in, h.params[nd.w], 0, out)
+	kernels.AddBiasRow(h.pool, h.lvl, out, h.params[nd.b].RowView(0))
 	switch nd.act {
 	case sigmoid:
-		kernels.Sigmoid32(h.pool, h.lvl, out, out)
+		kernels.Sigmoid(h.pool, h.lvl, out, out)
 	case softmax:
-		kernels.SoftmaxRows32(h.pool, h.lvl, out, out)
+		kernels.SoftmaxRows(h.pool, h.lvl, out, out)
 	}
 }

@@ -76,7 +76,7 @@ func (w *worker) build() error {
 
 	if cfg.Precision == F32 {
 		w.fwd32 = newHostForward(m, w.pool, cfg.Level.KernelLevel(), cfg.MaxBatch)
-		w.stage32 = tensor.NewMatrix32(cfg.MaxBatch, m.InputDim())
+		w.stage32 = tensor.NewMat[float32](cfg.MaxBatch, m.InputDim())
 		return nil
 	}
 
@@ -213,7 +213,7 @@ func (w *worker) run32(batch []*request) {
 	op := batch[0].op
 	n := len(batch)
 	for i, r := range batch {
-		tensor.Round32(w.stage32.RowView(i), r.in)
+		tensor.Convert(w.stage32.RowView(i), r.in)
 	}
 	xv := w.stage32.RowsView(0, n)
 
@@ -222,7 +222,7 @@ func (w *worker) run32(batch []*request) {
 	now := time.Now()
 	for i, r := range batch {
 		o := make([]float64, out.Cols)
-		tensor.Widen64(o, out.RowView(i))
+		tensor.Convert(o, out.RowView(i))
 		w.s.finishRequest(r, o, nil, now)
 	}
 }

@@ -404,12 +404,6 @@ func WithNumeric() MachineOption {
 	return func(o *machineOptions) { o.numeric = true }
 }
 
-// WithTimingOnly makes the machine only account simulated time — the
-// default; the option exists to state it explicitly.
-func WithTimingOnly() MachineOption {
-	return func(o *machineOptions) { o.numeric = false }
-}
-
 // WithWorkers sets the host worker pool size for numeric parallel kernels
 // (0 = GOMAXPROCS). It has no effect on a timing-only machine.
 func WithWorkers(n int) MachineOption {
