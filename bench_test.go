@@ -12,6 +12,7 @@
 package phideep_test
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -348,6 +349,33 @@ func BenchmarkKernelGemm512F32(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelGemmPacked32 compares per-call packing (Gemm) with
+// panels packed once (GemmPacked) on a served f32 layer: 1024×256 weights
+// at request-sized batches m ∈ {1, 8, 32}, Blocked, one thread. The gap is
+// the re-packing of W that pre-packing takes off the serve hot path.
+func BenchmarkKernelGemmPacked32(b *testing.B) {
+	const k, n = 1024, 256
+	r := rng.New(5)
+	w := tensor.NewMatrix(k, n).Randomize(r, -1, 1).To32()
+	pw := kernels.PackB(w, false)
+	for _, m := range []int{1, 8, 32} {
+		a := tensor.NewMatrix(m, k).Randomize(r, 0, 1).To32()
+		c := tensor.NewMat[float32](m, n)
+		b.Run(fmt.Sprintf("m=%d/gemm", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernels.Gemm(nil, kernels.Blocked, false, false, 1, a, w, 0, c)
+			}
+			reportGflops(b, m, k, n)
+		})
+		b.Run(fmt.Sprintf("m=%d/packed", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernels.GemmPacked(nil, kernels.Blocked, false, 1, a, pw, 0, c)
+			}
+			reportGflops(b, m, k, n)
+		})
+	}
+}
+
 // BenchmarkKernelConvIm2col measures the im2col-lowered convolution forward
 // (lowering + packed GEMM) at each optimization level on a LeNet-scale
 // layer: batch 32 of 16×16×6 maps, 12 filters of 5×5, stride 1, same pad —
@@ -416,40 +444,48 @@ func BenchmarkConvnetTrainingStep(b *testing.B) {
 
 // BenchmarkServeEncode measures served Encode throughput through the full
 // micro-batching stack at each precision (examples/s), with enough
-// concurrent clients to keep the batcher coalescing. The f64/f32 ratio is
-// the serving-side view of the reduced-precision speedup.
+// concurrent clients to keep the batcher coalescing, for a 256→64 and a
+// 1024→256 autoencoder. The f64/f32 ratio is the serving-side view of the
+// reduced-precision speedup; the larger model is the one where the GEMM,
+// not the batcher, dominates.
 func BenchmarkServeEncode(b *testing.B) {
-	for _, prec := range []phideep.Precision{phideep.PrecisionF64, phideep.PrecisionF32} {
-		b.Run(prec.String(), func(b *testing.B) {
-			m := phideep.ServeAutoencoder(phideep.AutoencoderConfig{Visible: 256, Hidden: 64, Seed: 1}, nil)
-			srv, err := phideep.NewServer(m, phideep.ServeConfig{
-				Level: phideep.Improved, Workers: 2,
-				MaxBatch: 32, MaxWait: 200 * time.Microsecond,
-			}, phideep.WithPrecision(prec))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(srv.Close)
-			x := make([]float64, 256)
-			r := rng.New(7)
-			for j := range x {
-				x[j] = r.Float64()
-			}
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := srv.Encode(x); err != nil {
-						b.Error(err)
-						return
-					}
-				}
+	for _, size := range [][2]int{{256, 64}, {1024, 256}} {
+		for _, prec := range []phideep.Precision{phideep.PrecisionF64, phideep.PrecisionF32} {
+			b.Run(fmt.Sprintf("%dx%d/%s", size[0], size[1], prec), func(b *testing.B) {
+				benchServeEncode(b, size[0], size[1], prec)
 			})
-			b.StopTimer()
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(b.N)/sec, "examples/s")
+		}
+	}
+}
+
+func benchServeEncode(b *testing.B, visible, hidden int, prec phideep.Precision) {
+	m := phideep.ServeAutoencoder(phideep.AutoencoderConfig{Visible: visible, Hidden: hidden, Seed: 1}, nil)
+	srv, err := phideep.NewServer(m, phideep.ServeConfig{
+		Level: phideep.Improved, Workers: 2,
+		MaxBatch: 32, MaxWait: 200 * time.Microsecond,
+	}, phideep.WithPrecision(prec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Close)
+	x := make([]float64, visible)
+	r := rng.New(7)
+	for j := range x {
+		x[j] = r.Float64()
+	}
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := srv.Encode(x); err != nil {
+				b.Error(err)
+				return
 			}
-		})
+		}
+	})
+	b.StopTimer()
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(b.N)/sec, "examples/s")
 	}
 }
 

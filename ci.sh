@@ -35,6 +35,9 @@ go test -shuffle=on ./...
 # pass over the PHCK decoder (typed error or exact round trip, never a
 # panic), on top of the committed seed corpus the plain test run replays.
 go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/core/
+# The same for the raw parameter-set reader every model's Load runs: an
+# error that leaves the parameters untouched, or an exact round trip.
+go test -run '^$' -fuzz FuzzLoadParamSet -fuzztime 10s ./internal/nn/
 # The pure-Go micro-kernel fallbacks (f64 and f32) must stay correct on
 # their own: re-run the kernel suite — and the convnet built on the
 # lowered GEMM — with the assembly path compiled out. The tuner rides

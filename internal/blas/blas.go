@@ -157,6 +157,21 @@ func opShape(b *device.Buffer, trans bool) (int, int) {
 
 // Gemm computes C = alpha·op(A)·op(B) + beta·C on the device.
 func (c *Context) Gemm(transA, transB bool, alpha float64, a, b *device.Buffer, beta float64, dst *device.Buffer) {
+	c.gemm(transA, transB, alpha, a, b, nil, beta, dst)
+}
+
+// GemmPacked is Gemm with op(B)'s panels packed ahead of time: pb must be
+// kernels.PackB of b's contents with transB, so the kernel reads pb
+// instead of re-packing b. b still names the operand: the launch charges
+// the same simulated GEMM over the same buffers, with the same fusion
+// accounting, as Gemm, and the result is bit-identical. Only the blocked
+// levels run on packed panels.
+func (c *Context) GemmPacked(transA, transB bool, alpha float64, a, b *device.Buffer, pb *kernels.PackedB[float64], beta float64, dst *device.Buffer) {
+	c.gemm(transA, transB, alpha, a, b, pb, beta, dst)
+}
+
+// gemm issues one GEMM launch; a non-nil pb selects the pre-packed kernel.
+func (c *Context) gemm(transA, transB bool, alpha float64, a, b *device.Buffer, pb *kernels.PackedB[float64], beta float64, dst *device.Buffer) {
 	m, ka := opShape(a, transA)
 	kb, n := opShape(b, transB)
 	if ka != kb || dst.Rows != m || dst.Cols != n {
@@ -165,6 +180,10 @@ func (c *Context) Gemm(transA, transB bool, alpha float64, a, b *device.Buffer, 
 	c.exec(c.op(sim.OpGemm, m, ka, n, 0, 0, 0),
 		[]*device.Buffer{a, b, dst}, []*device.Buffer{dst},
 		func() {
+			if pb != nil {
+				kernels.GemmPacked(c.Dev.Pool, c.Level, transA, alpha, a.Mat, pb, beta, dst.Mat)
+				return
+			}
 			kernels.Gemm(c.Dev.Pool, c.Level, transA, transB, alpha, a.Mat, b.Mat, beta, dst.Mat)
 		})
 }

@@ -37,6 +37,44 @@ func TestGemmNumericMatchesKernels(t *testing.T) {
 	}
 }
 
+// TestGemmPackedMatchesGemm checks the pre-packed launch against Gemm on
+// the same buffers at the blocked levels, inside a fused region: the same
+// floats, the same simulated time and the same launch count.
+func TestGemmPackedMatchesGemm(t *testing.T) {
+	for _, lvl := range []kernels.Level{kernels.Blocked, kernels.ParallelBlocked} {
+		for _, transB := range []bool{false, true} {
+			run := func(packed bool) (*tensor.Matrix, float64, int) {
+				ctx := numericCtx(lvl)
+				ctx.AutoFuse = true
+				a := tensor.NewMatrix(6, 9).Randomize(ctx.RNG, -1, 1)
+				b := tensor.NewMatrix(9, 5).Randomize(ctx.RNG, -1, 1)
+				if transB {
+					b = b.T()
+				}
+				da, db := upload(ctx, a), upload(ctx, b)
+				dc := ctx.Dev.MustAlloc(6, 5)
+				pb := kernels.PackB(b, transB)
+				start, ops := ctx.Dev.Now(), ctx.Dev.Stats().Ops
+				ctx.MaybeFused(func() {
+					if packed {
+						ctx.GemmPacked(false, transB, 1.5, da, db, pb, 0, dc)
+					} else {
+						ctx.Gemm(false, transB, 1.5, da, db, 0, dc)
+					}
+					ctx.Sigmoid(dc, dc)
+				})
+				return dc.Mat.Clone(), ctx.Dev.Now() - start, ctx.Dev.Stats().Ops - ops
+			}
+			want, wantT, wantOps := run(false)
+			got, gotT, gotOps := run(true)
+			if !tensor.Equal(want, got, 0) || gotT != wantT || gotOps != wantOps {
+				t.Errorf("%v transB=%v: GemmPacked %d launches %g s diff %g; Gemm %d launches %g s",
+					lvl, transB, gotOps, gotT, tensor.MaxAbsDiff(want, got), wantOps, wantT)
+			}
+		}
+	}
+}
+
 func TestGemmShapePanics(t *testing.T) {
 	ctx := numericCtx(kernels.Naive)
 	a := ctx.Dev.MustAlloc(2, 3)

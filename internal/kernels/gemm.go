@@ -35,11 +35,41 @@ func Gemm[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, a
 	}
 	start := time.Now()
 	gemmDispatch(pool, lvl, transA, transB, alpha, a, b, beta, c)
+	m, k := opShape(a, transA)
+	_, n := opShape(b, transB)
+	recordGemm[T](lvl, m, k, n, start)
+}
+
+// GemmPacked computes C = alpha·op(A)·op(B) + beta·C like Gemm, with op(B)
+// pre-packed by PackB: the packed loop nest reads the stored panels instead
+// of re-packing B, and acquires no B scratch. The panels hold the bytes
+// Gemm would pack, in the order it would pack them, so the result is
+// bit-identical to Gemm(pool, lvl, transA, transB, alpha, a, b, beta, c)
+// for the b and transB pb was packed from. Only the blocked levels run on
+// packed panels; any other level panics, as does a shape mismatch. Calls
+// record into the same metric family as Gemm.
+func GemmPacked[T tensor.Float](pool *parallel.Pool, lvl Level, transA bool, alpha T, a *tensor.Mat[T], pb *PackedB[T], beta T, c *tensor.Mat[T]) {
+	m, k := opShape(a, transA)
+	if k != pb.k || c.Rows != m || c.Cols != pb.n {
+		panic(fmt.Sprintf("kernels: GemmPacked shape mismatch: op(A)=%dx%d packed op(B)=%dx%d C=%dx%d", m, k, pb.k, pb.n, c.Rows, c.Cols))
+	}
+	if !lvl.IsBlocked() {
+		panic(fmt.Sprintf("kernels: GemmPacked at unblocked level %v", lvl))
+	}
+	if !metrics.Enabled() {
+		gemmBlocked(pool, lvl, transA, false, alpha, a, nil, pb, beta, c, m, k, pb.n)
+		return
+	}
+	start := time.Now()
+	gemmBlocked(pool, lvl, transA, false, alpha, a, nil, pb, beta, c, m, k, pb.n)
+	recordGemm[T](lvl, m, k, pb.n, start)
+}
+
+// recordGemm records one finished m×k×n call into T's Gemm family.
+func recordGemm[T tensor.Float](lvl Level, m, k, n int, start time.Time) {
 	mm := prec[T]().gemm
 	mm.seconds.Observe(time.Since(start).Seconds())
 	mm.calls.Inc()
-	m, k := opShape(a, transA)
-	_, n := opShape(b, transB)
 	mm.flops.Add(2 * float64(m) * float64(k) * float64(n))
 	switch {
 	case lvl.IsBlocked() && useAsmKernel:
@@ -49,6 +79,23 @@ func Gemm[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, a
 	default:
 		mm.pathScalar.Inc()
 	}
+}
+
+// gemmBlocked is the validated blocked-level body shared by Gemm and
+// GemmPacked: empty products return, a zero k or alpha only scales C, and
+// everything else runs the packed loop nest on b or on pb.
+func gemmBlocked[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, alpha T, a, b *tensor.Mat[T], pb *PackedB[T], beta T, c *tensor.Mat[T], m, k, n int) {
+	if m == 0 || n == 0 {
+		return
+	}
+	if k == 0 || alpha == 0 {
+		scaleC(pool, lvl, beta, c)
+		return
+	}
+	// The packed path handles all four trans layouts natively (the packing
+	// absorbs strides and transposes) and folds the beta scaling into the
+	// first k-panel, so no separate scale pass runs.
+	gemmPacked(pool, lvl, transA, transB, alpha, a, b, pb, beta, c, m, k, n)
 }
 
 // gemmDispatch is the uninstrumented Gemm body: validate, then route to the
@@ -62,21 +109,17 @@ func gemmDispatch[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB
 	if c.Rows != m || c.Cols != n {
 		panic(fmt.Sprintf("kernels: Gemm output shape %dx%d, want %dx%d", c.Rows, c.Cols, m, n))
 	}
+	if lvl.IsBlocked() {
+		gemmBlocked(pool, lvl, transA, transB, alpha, a, b, nil, beta, c, m, ka, n)
+		return
+	}
 	if m == 0 || n == 0 {
 		return
 	}
-	if ka == 0 || alpha == 0 {
-		scaleC(pool, lvl, beta, c)
-		return
-	}
-	if lvl.IsBlocked() {
-		// The packed path handles all four trans layouts natively (the
-		// packing absorbs strides and transposes) and folds the beta
-		// scaling into the first k-panel, so no separate scale pass runs.
-		gemmPacked(pool, lvl, transA, transB, alpha, a, b, beta, c, m, ka, n)
-		return
-	}
 	scaleC(pool, lvl, beta, c)
+	if ka == 0 || alpha == 0 {
+		return
+	}
 
 	// Both transposed: rewrite op(A)ᵀop(B)ᵀ using a packed transpose of A so
 	// the scalar kernels below only handle three layouts. TT does not occur

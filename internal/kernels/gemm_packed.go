@@ -62,11 +62,14 @@ func (g *gemmState[T]) Range(lo, hi int) {
 
 // gemmPacked runs C = alpha·op(A)·op(B) + beta·C through the packed
 // micro-kernel of T's precision, parallelized over row tiles when the level
-// and pool allow. The summation order over k is fixed by the packing loop
-// (k-panels in ascending order, ascending l within a panel) and every C
-// tile is written by exactly one worker, so results are bit-identical for
-// any worker count — Blocked and ParallelBlocked produce the same floats.
-func gemmPacked[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, alpha T, a, b *tensor.Mat[T], beta T, c *tensor.Mat[T], m, k, n int) {
+// and pool allow. op(B) comes either as b, packed panel by panel into a
+// pooled arena, or as pb, every panel packed in advance by PackB — the
+// same bytes in the same order, so both forms produce the same floats. The
+// summation order over k is fixed by the packing loop (k-panels in
+// ascending order, ascending l within a panel) and every C tile is written
+// by exactly one worker, so results are bit-identical for any worker count
+// — Blocked and ParallelBlocked produce the same floats.
+func gemmPacked[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB bool, alpha T, a, b *tensor.Mat[T], pb *PackedB[T], beta T, c *tensor.Mat[T], m, k, n int) {
 	p := prec[T]()
 	g := p.states.Get().(*gemmState[T])
 	g.p = p
@@ -74,7 +77,9 @@ func gemmPacked[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB b
 	g.transA, g.transB = transA, transB
 	g.alpha, g.beta = alpha, beta
 	g.m = m
-	g.bArena = p.arenas.Get().(*arena[T])
+	if pb == nil {
+		g.bArena = p.arenas.Get().(*arena[T])
+	}
 	useDeviceParallel := lvl.IsParallel() && pool != nil && pool.Workers() > 1
 	tiles := (m + p.mr - 1) / p.mr
 	for jc := 0; jc < n; jc += p.ncBlock {
@@ -89,8 +94,12 @@ func gemmPacked[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB b
 			}
 			g.pc, g.kc, g.jc, g.nc = pc, kc, jc, nc
 			g.first = pc == 0
-			g.bp = g.bArena.ensure(((nc + p.nr - 1) / p.nr) * kc * p.nr)
-			packB(g.bp, p.nr, b, transB, pc, kc, jc, nc)
+			if pb != nil {
+				g.bp = pb.panel(jc, pc, kc, nc)
+			} else {
+				g.bp = g.bArena.ensure(panelLen(p.nr, kc, nc))
+				packB(g.bp, p.nr, b, transB, pc, kc, jc, nc)
+			}
 			if useDeviceParallel {
 				pool.ForRanger(tiles, parallel.Static, 0, g)
 			} else {
@@ -98,7 +107,50 @@ func gemmPacked[T tensor.Float](pool *parallel.Pool, lvl Level, transA, transB b
 			}
 		}
 	}
-	p.arenas.Put(g.bArena)
+	if g.bArena != nil {
+		p.arenas.Put(g.bArena)
+	}
 	*g = gemmState[T]{}
 	p.states.Put(g)
+}
+
+// panelLen is the length of one packed kc×nc panel: nc rounded up to whole
+// nr-wide micro-panels, kc deep.
+func panelLen(nr, kc, nc int) int { return (nc + nr - 1) / nr * kc * nr }
+
+// PackedB is op(B) packed once into the micro-kernel panel layout of T's
+// precision: every kc×nc panel the packed loop nest would pack per call,
+// stored back to back in its order (jc blocks ascending, k-panels
+// ascending within a block). It is for an operand that outlives many
+// products — a served model's weights — so GemmPacked skips the per-call
+// re-packing. A PackedB is immutable and safe to share across goroutines.
+type PackedB[T tensor.Float] struct {
+	k, n   int
+	panels []T
+}
+
+// PackB packs op(B) (B, or Bᵀ with transB) for GemmPacked. The panels copy
+// b's values, so later writes to b do not reach them.
+func PackB[T tensor.Float](b *tensor.Mat[T], transB bool) *PackedB[T] {
+	p := prec[T]()
+	k, n := opShape(b, transB)
+	pb := &PackedB[T]{k: k, n: n, panels: make([]T, panelLen(p.nr, k, n))}
+	for jc := 0; jc < n; jc += p.ncBlock {
+		nc := min(p.ncBlock, n-jc)
+		for pc := 0; pc < k; pc += p.kcBlock {
+			kc := min(p.kcBlock, k-pc)
+			packB(pb.panel(jc, pc, kc, nc), p.nr, b, transB, pc, kc, jc, nc)
+		}
+	}
+	return pb
+}
+
+// panel returns the packed panel op(B)[pc:pc+kc, jc:jc+nc]. ncBlock is a
+// whole number of micro-panels, so every jc block before this one holds
+// ncBlock·k elements and every k-panel before pc in this block holds
+// roundup(nc, nr)·pc: the offset is closed-form.
+func (pb *PackedB[T]) panel(jc, pc, kc, nc int) []T {
+	nr := prec[T]().nr
+	off := jc*pb.k + panelLen(nr, pc, nc)
+	return pb.panels[off : off+panelLen(nr, kc, nc)]
 }

@@ -64,8 +64,9 @@ func checkGemmMetrics(t *testing.T, lvl Level, family, other string, gemm func()
 }
 
 // TestGemmMetricsSplitByPrecision pins the series perfbench's per-layer
-// report reads: a float32 Gemm records into kernels.gemm32.* only, a
-// float64 one into kernels.gemm.* only, at every level.
+// report reads: a float32 Gemm or GemmPacked records into kernels.gemm32.*
+// only, a float64 one into kernels.gemm.* only, at every level the entry
+// accepts.
 func TestGemmMetricsSplitByPrecision(t *testing.T) {
 	prev := metrics.Enabled()
 	metrics.SetEnabled(true)
@@ -73,12 +74,22 @@ func TestGemmMetricsSplitByPrecision(t *testing.T) {
 
 	a, b, c := tensor.NewMatrix(5, 7), tensor.NewMatrix(7, 9), tensor.NewMatrix(5, 9)
 	a32, b32, c32 := a.To32(), b.To32(), c.To32()
+	pb, pb32 := PackB(b, false), PackB(b32, false)
 	for _, lvl := range Levels {
 		checkGemmMetrics(t, lvl, "kernels.gemm32", "kernels.gemm", func() {
 			Gemm(nil, lvl, false, false, 1, a32, b32, 0, c32)
 		})
 		checkGemmMetrics(t, lvl, "kernels.gemm", "kernels.gemm32", func() {
 			Gemm(nil, lvl, false, false, 1, a, b, 0, c)
+		})
+		if !lvl.IsBlocked() {
+			continue
+		}
+		checkGemmMetrics(t, lvl, "kernels.gemm32", "kernels.gemm", func() {
+			GemmPacked(nil, lvl, false, 1, a32, pb32, 0, c32)
+		})
+		checkGemmMetrics(t, lvl, "kernels.gemm", "kernels.gemm32", func() {
+			GemmPacked(nil, lvl, false, 1, a, pb, 0, c)
 		})
 	}
 }

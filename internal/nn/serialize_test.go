@@ -108,3 +108,28 @@ func TestSaveDeterministic(t *testing.T) {
 		t.Fatal("serialization not deterministic")
 	}
 }
+
+// FuzzLoadParamSet holds LoadParamSet to its contract on arbitrary bytes:
+// an error that leaves the parameters untouched, or a load whose re-save
+// is exactly the bytes it consumed — never a panic. The seed corpus in
+// testdata/fuzz holds a valid file and one each with a truncated body, a
+// bad magic, a wrong element count and a bad checksum.
+func FuzzLoadParamSet(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ps, _, _ := sampleParamSet(1)
+		before := ps.Flatten(nil)
+		if err := LoadParamSet(bytes.NewReader(data), ps); err != nil {
+			if !tensor.EqualVec(ps.Flatten(nil), before, 0) {
+				t.Fatalf("failed load (%v) modified the parameters", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := SaveParamSet(&buf, ps); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Fatalf("loaded parameters re-save to %d bytes that are not the input's prefix", buf.Len())
+		}
+	})
+}

@@ -97,14 +97,18 @@ func (p *program) width(n int) int {
 // workspaces sized for maxBatch examples whose row views serve partial
 // batches. Every Dense and Conv node runs as one MaybeFused region, so
 // the device sees the same kernel sequence — and charges the same
-// simulated time — as the training model's forward pass. Not safe for
-// concurrent use.
+// simulated time — as the training model's forward pass. On a numeric
+// device at a blocked level the GEMMs read the model's pre-packed f64
+// weight panels (Context.GemmPacked) instead of re-packing the uploaded
+// weights every batch; the charge and the answers are unchanged. Not safe
+// for concurrent use.
 type DeviceForward struct {
 	ctx      *blas.Context
 	prog     *program
 	maxBatch int
 	params   []*device.Buffer
-	out, aux []*device.Buffer // per node; aux is nil for Dense
+	packed   []*kernels.PackedB[float64] // per node; nil when not packed
+	out, aux []*device.Buffer            // per node; aux is nil for Dense
 }
 
 // NewDeviceForward uploads m's parameters to ctx's device and allocates
@@ -146,6 +150,9 @@ func NewDeviceForward(ctx *blas.Context, m *Model, maxBatch int) (*DeviceForward
 		}
 		dev.CopyIn(f.params[i], w, 0)
 	}
+	if dev.Numeric && ctx.Level.IsBlocked() {
+		f.packed = m.panels64()
+	}
 	return f, nil
 }
 
@@ -171,22 +178,29 @@ func (f *DeviceForward) run(x *device.Buffer, upto int) *device.Buffer {
 		case conv:
 			cols := rowsOf(f.aux[i], n*a[0])
 			ctx.Im2col(nd.conv, n, in, cols)
-			f.layer(nd, cols, out)
+			f.layer(i, cols, out)
 		case pool:
 			ctx.MaxPool(nd.pool, n, in, out, rowsOf(f.aux[i], n*a[0]))
 		default:
-			f.layer(nd, in, out)
+			f.layer(i, in, out)
 		}
 		in = out
 	}
 	return in
 }
 
-// layer is one fused GEMM + bias + activation region.
-func (f *DeviceForward) layer(nd node, in, out *device.Buffer) {
+// layer is node i's fused GEMM + bias + activation region.
+func (f *DeviceForward) layer(i int, in, out *device.Buffer) {
 	ctx := f.ctx
+	nd := f.prog.nodes[i]
 	ctx.MaybeFused(func() {
-		ctx.Gemm(false, nd.transB, 1, in, f.params[nd.w], 0, out)
+		// Context fields may be adjusted after construction, so the
+		// level is checked per launch: packed panels need a blocked one.
+		if f.packed != nil && ctx.Level.IsBlocked() {
+			ctx.GemmPacked(false, nd.transB, 1, in, f.params[nd.w], f.packed[i], 0, out)
+		} else {
+			ctx.Gemm(false, nd.transB, 1, in, f.params[nd.w], 0, out)
+		}
 		ctx.AddBiasRow(out, f.params[nd.b])
 		switch nd.act {
 		case sigmoid:
@@ -219,10 +233,13 @@ func (f *DeviceForward) Free() {
 
 // hostForward runs a program in float32 on the packed host kernels, over
 // the model's shared f32 weight snapshot with private per-node workspaces
-// sized for maxBatch examples. Not safe for concurrent use.
+// sized for maxBatch examples. At the blocked levels the GEMMs read the
+// model's shared pre-packed f32 panels; Naive and Parallel multiply the
+// unpacked weights. Not safe for concurrent use.
 type hostForward struct {
 	prog      *program
 	params    []*tensor.Matrix32
+	packed    []*kernels.PackedB[float32] // per node; nil when not packed
 	pool      *parallel.Pool
 	lvl       kernels.Level
 	out, cols []*tensor.Matrix32 // per node; cols only for Conv
@@ -232,6 +249,9 @@ func newHostForward(m *Model, pool *parallel.Pool, lvl kernels.Level, maxBatch i
 	p := &m.prog
 	h := &hostForward{prog: p, params: m.weights32(), pool: pool, lvl: lvl,
 		out: make([]*tensor.Matrix32, len(p.nodes)), cols: make([]*tensor.Matrix32, len(p.nodes))}
+	if lvl.IsBlocked() {
+		h.packed = m.panels32()
+	}
 	for i, nd := range p.nodes {
 		out, aux := p.shape(i)
 		h.out[i] = tensor.NewMat[float32](maxBatch*out[0], out[1])
@@ -254,20 +274,25 @@ func (h *hostForward) run(x *tensor.Matrix32, upto int) *tensor.Matrix32 {
 		case conv:
 			cols := h.cols[i].RowsView(0, n*a[0])
 			kernels.Im2col(h.pool, h.lvl, nd.conv, n, in, cols)
-			h.layer(nd, cols, out)
+			h.layer(i, cols, out)
 		case pool:
 			kernels.MaxPool(h.pool, h.lvl, nd.pool, n, in, out, nil)
 		default:
-			h.layer(nd, in, out)
+			h.layer(i, in, out)
 		}
 		in = out
 	}
 	return in
 }
 
-// layer is the f32 GEMM + bias + activation step.
-func (h *hostForward) layer(nd node, in, out *tensor.Matrix32) {
-	kernels.Gemm(h.pool, h.lvl, false, nd.transB, 1, in, h.params[nd.w], 0, out)
+// layer is node i's f32 GEMM + bias + activation step.
+func (h *hostForward) layer(i int, in, out *tensor.Matrix32) {
+	nd := h.prog.nodes[i]
+	if h.packed != nil {
+		kernels.GemmPacked(h.pool, h.lvl, false, 1, in, h.packed[i], 0, out)
+	} else {
+		kernels.Gemm(h.pool, h.lvl, false, nd.transB, 1, in, h.params[nd.w], 0, out)
+	}
 	kernels.AddBiasRow(h.pool, h.lvl, out, h.params[nd.b].RowView(0))
 	switch nd.act {
 	case sigmoid:

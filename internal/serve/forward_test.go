@@ -11,8 +11,11 @@ import (
 	"phideep/internal/convnet"
 	"phideep/internal/core"
 	"phideep/internal/device"
+	"phideep/internal/kernels"
 	"phideep/internal/mlp"
+	"phideep/internal/parallel"
 	"phideep/internal/rbm"
+	"phideep/internal/rng"
 	"phideep/internal/sim"
 	"phideep/internal/tensor"
 )
@@ -233,3 +236,52 @@ func TestDeviceForwardChargesTrainingTime(t *testing.T) {
 type deviceForwarder struct{ *DeviceForward }
 
 func (f deviceForwarder) Forward(x *device.Buffer) { f.Infer(x) }
+
+// TestHostForwardPackedMatchesUnpacked pins the bit-identity of serving on
+// pre-packed weights: the f32 host loop on the model's shared panels
+// answers exactly what it answers multiplying the unpacked f32 weights
+// with kernels.Gemm, at every kernel level, pool size, node prefix and
+// batch size. The AE's 520 visibles cross the packed GEMM's kc and nc
+// block edges.
+func TestHostForwardPackedMatchesUnpacked(t *testing.T) {
+	const maxBatch = 5
+	ae := autoencoder.Config{Visible: 520, Hidden: 40, Seed: 3}
+	tied := ae
+	tied.Tied = true
+	gauss := rbm.Config{Visible: 30, Hidden: 20, GaussianVisible: true, Seed: 4}
+	models := []struct {
+		name string
+		m    *Model
+	}{
+		{"autoencoder", Autoencoder(ae, nil)},
+		{"tied-autoencoder", Autoencoder(tied, nil)},
+		{"gaussian-rbm", RBM(gauss, nil)},
+		{"convnet", Convnet(convTestConfig(), nil)},
+	}
+	pool3 := parallel.NewPool(3)
+	defer pool3.Close()
+	r := rng.New(11)
+	for _, c := range models {
+		x := tensor.NewMatrix(maxBatch, c.m.InputDim()).Randomize(r, 0, 1).To32()
+		for _, lvl := range kernels.Levels {
+			for _, pool := range []*parallel.Pool{nil, pool3} {
+				packed := newHostForward(c.m, pool, lvl, maxBatch)
+				if lvl.IsBlocked() != (packed.packed != nil) {
+					t.Fatalf("%s %v: pre-packed = %v, want it exactly at the blocked levels", c.name, lvl, packed.packed != nil)
+				}
+				plain := newHostForward(c.m, pool, lvl, maxBatch)
+				plain.packed = nil
+				for upto := 1; upto <= len(c.m.prog.nodes); upto++ {
+					for _, n := range []int{1, maxBatch} {
+						want := plain.run(x.RowsView(0, n), upto)
+						got := packed.run(x.RowsView(0, n), upto)
+						if !tensor.Equal(want, got, 0) {
+							t.Fatalf("%s %v pool=%v nodes=%d batch=%d: pre-packed differs from Gemm by %g",
+								c.name, lvl, pool != nil, upto, n, tensor.MaxAbsDiff(want, got))
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"phideep/internal/autoencoder"
 	"phideep/internal/convnet"
 	"phideep/internal/core"
+	"phideep/internal/kernels"
 	"phideep/internal/mlp"
 	"phideep/internal/rbm"
 	"phideep/internal/tensor"
@@ -43,6 +44,15 @@ type Model struct {
 	// reduced-precision worker.
 	once32 sync.Once
 	w32    []*tensor.Matrix32
+
+	// Each Dense and Conv node's op(W) packed once into the micro-kernel
+	// panel layout, for workers at the blocked levels: f32 panels for the
+	// host loop, f64 panels for numeric devices. Indexed by node (nil for
+	// Pool), so a tied decoder's W1ᵀ has panels of its own. Packed by the
+	// first worker that needs them and shared read-only.
+	oncePB32, oncePB64 sync.Once
+	pb32               []*kernels.PackedB[float32]
+	pb64               []*kernels.PackedB[float64]
 }
 
 // weights32 rounds the parameters to float32 once; later calls are free.
@@ -53,6 +63,29 @@ func (m *Model) weights32() []*tensor.Matrix32 {
 		}
 	})
 	return m.w32
+}
+
+// panels32 packs every node's f32 weight once; later calls are free.
+func (m *Model) panels32() []*kernels.PackedB[float32] {
+	m.oncePB32.Do(func() { m.pb32 = packNodes(m.prog.nodes, m.weights32()) })
+	return m.pb32
+}
+
+// panels64 packs every node's f64 weight once; later calls are free.
+func (m *Model) panels64() []*kernels.PackedB[float64] {
+	m.oncePB64.Do(func() { m.pb64 = packNodes(m.prog.nodes, m.prog.params) })
+	return m.pb64
+}
+
+// packNodes packs op(W) of every Dense and Conv node from params.
+func packNodes[T tensor.Float](nodes []node, params []*tensor.Mat[T]) []*kernels.PackedB[T] {
+	pbs := make([]*kernels.PackedB[T], len(nodes))
+	for i, nd := range nodes {
+		if nd.kind != pool {
+			pbs[i] = kernels.PackB(params[nd.w], nd.transB)
+		}
+	}
+	return pbs
 }
 
 // denseNode is a Dense step over parameters w and b.

@@ -21,11 +21,18 @@
 // parameters, and issues the same blas kernels as training's forward pass
 // at any core OptLevel.
 //
+// Serving weights are immutable, so they are packed once per model: at
+// the blocked levels (MKL, Improved) each Dense and Conv weight is packed
+// into the GEMM micro-kernel's panel layout the first time a worker needs
+// it and shared read-only by every worker, and each served GEMM reads
+// those panels instead of re-packing the weight per batch. The answers
+// and the simulated charge are exactly those of per-call packing.
+//
 // At Config.Precision F32 the workers skip the simulated device and run
 // the program on the reduced-precision host loop instead: one float32
-// weight snapshot is converted per model (lazily, shared read-only) and
-// each worker executes the packed f32 kernels with a private activation
-// workspace. The request and response surface stays []float64 — rounding
+// weight snapshot is converted (and packed) per model, lazily and shared
+// read-only, and each worker executes the packed f32 kernels with a
+// private activation workspace. The request and response surface stays []float64 — rounding
 // happens at the staging boundary — and answers differ from the f64 path
 // only by float32 rounding, bounded by the cross-precision equivalence
 // suite.

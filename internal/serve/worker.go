@@ -21,7 +21,8 @@ import (
 //     non-panicking TryCopyIn/TryCopyOut under retryTransfer.
 //   - F32: the reduced-precision host loop on the packed f32 kernels and
 //     the worker's pool, no device in the loop. Weights are the model's
-//     shared f32 snapshot; activations are private.
+//     shared f32 snapshot (and, at the blocked levels, its shared packed
+//     panels); activations are private.
 //
 // All workers share the server's immutable Model snapshot read-only. The
 // lifecycle fields (restarts, retired, cause) are owned by the worker's
@@ -45,10 +46,13 @@ type worker struct {
 	// transfers whole buffers, so short batches ride in with stale tail
 	// rows that the sliced forward pass never reads. stage32 plays the
 	// same staging role for the f32 loop, with the float64→float32
-	// rounding folded into the row copy.
+	// rounding folded into the row copy. res is the f64 loop's host result
+	// staging, MaxBatch×OutputDim(op) per supported op; a batch copies out
+	// into its [0,n) row view.
 	x       *device.Buffer
 	stage   *tensor.Matrix
 	stage32 *tensor.Matrix32
+	res     [numOps]*tensor.Matrix
 }
 
 // newWorker builds worker i's first incarnation.
@@ -92,6 +96,9 @@ func (w *worker) build() error {
 		return err
 	}
 	w.stage = tensor.NewMatrix(cfg.MaxBatch, m.InputDim())
+	for _, op := range m.Ops() {
+		w.res[op] = tensor.NewMatrix(cfg.MaxBatch, m.OutputDim(op))
+	}
 	if cfg.Faults.Rate > 0 {
 		if err := dev.EnableFaults(workerFaultConfig(cfg.Faults, w.slot, w.restarts)); err != nil {
 			w.free()
@@ -173,7 +180,7 @@ func (w *worker) run(batch []*request) error {
 
 	out := w.fwd.run(xv, w.s.model.prefix[op])
 
-	res := tensor.NewMatrix(n, out.Cols)
+	res := w.res[op].RowsView(0, n)
 	if err := w.retryTransfer(func() error {
 		_, err := dev.TryCopyOut(out, res)
 		return err
